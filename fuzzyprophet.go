@@ -503,48 +503,26 @@ type ShardEvaluator interface {
 // Because world seeds derive per (site, world) from the seed base, the
 // returned partial vectors are bit-identical to the corresponding rows of
 // a full local evaluation; a coordinator concatenates shard results in
-// world order to reproduce the single-range render exactly. The shard is
-// split across WithShards-many in-process sub-shards (pass GOMAXPROCS to
+// world order to reproduce the full render exactly. The shard is split
+// across WithShards-many in-process sub-shards (pass GOMAXPROCS to
 // saturate a worker's cores). Fingerprint reuse is not consulted — partial
 // vectors are not valid bases. The scenario's query must be shardable
 // (non-grouped, within the compiled-plan subset); others are rejected.
+// Each call serves one request through a one-off ShardWorker; a worker
+// serving many requests should keep a ShardWorker instead.
 func (sc *Scenario) EvaluateShard(ctx context.Context, point map[string]any, worlds int, seed uint64, shard WorldShard, opts ...EvalOption) (*ShardResult, error) {
-	pt, err := sc.toDeclaredPoint(point)
+	w, err := sc.NewShardWorker(opts...)
 	if err != nil {
 		return nil, err
 	}
-	cfg := newEvalConfig(opts)
-	cfg.disableReuse = true // shard evaluation never consults reuse
-	if worlds > 0 {
-		cfg.worlds = worlds
+	// Zero worlds or seed defer to the options (WithWorlds, WithSeedBase).
+	if worlds <= 0 {
+		worlds = w.opts.Worlds
 	}
-	if seed != 0 {
-		cfg.seedBase = seed
+	if seed == 0 {
+		seed = w.opts.SeedBase
 	}
-	mcOpts, err := cfg.mcOptions()
-	if err != nil {
-		return nil, err
-	}
-	mcOpts.Runner = nil // a worker never re-fans out
-	ev := mc.NewEvaluator(sc.scn, mcOpts)
-	out, err := ev.EvaluateShard(ctx, pt, mc.WorldRange{Lo: shard.Lo, Hi: shard.Hi})
-	if err != nil {
-		return nil, err
-	}
-	res := &ShardResult{Columns: out.Columns, Sketches: out.Sketches}
-	for _, fs := range out.Columns {
-		res.Rows = len(fs)
-		break
-	}
-	if res.Rows == 0 && len(out.Columns) == 0 {
-		// Sketch-only shard (WithSketchOnly): the row count survives in the
-		// sketches' observation counts.
-		for _, sk := range out.Sketches {
-			res.Rows = int(sk.Count)
-			break
-		}
-	}
-	return res, nil
+	return w.EvaluateShard(ctx, point, worlds, seed, shard, w.opts.SketchOnly)
 }
 
 // Session is an online-mode exploration (paper §3.2): sliders plus a live

@@ -7,6 +7,7 @@ package aggregate
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -84,6 +85,12 @@ func (c *ColumnStats) Count() int64 { return c.Moments.Count() }
 
 // CI95 returns the 95% confidence half-width of the mean.
 func (c *ColumnStats) CI95() float64 { return c.Moments.CI95() }
+
+// Converged reports whether the column's 95% CI half-width is within eps
+// (relative to max(1, |mean|)), with at least minSamples worlds.
+func (c *ColumnStats) Converged(eps float64, minSamples int64) bool {
+	return c.Moments.Converged(eps*math.Max(1, math.Abs(c.Moments.Mean())), minSamples)
+}
 
 // Metric extracts the named aggregate: EXPECT, EXPECT_STDDEV or PROB
 // (scenario GRAPH items), plus MEDIAN and P95 for diagnostics.
@@ -228,17 +235,7 @@ func (p *PointStats) Converged(eps float64, minSamples int64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, c := range p.cols {
-		if c.Moments.Count() < minSamples {
-			return false
-		}
-		scale := c.Moments.Mean()
-		if scale < 0 {
-			scale = -scale
-		}
-		if scale < 1 {
-			scale = 1
-		}
-		if c.Moments.CI95() > eps*scale {
+		if !c.Converged(eps, minSamples) {
 			return false
 		}
 	}

@@ -38,13 +38,11 @@ type Options struct {
 	// Workers bounds VG-invocation parallelism (default: GOMAXPROCS).
 	Workers int
 	// Shards splits each point's world range [0, Worlds) into this many
-	// contiguous shards evaluated concurrently, each producing partial
-	// column vectors that the coordinator stitches back in world order
-	// (default 1: the single-range path). Because world seeds derive per
-	// (site, world), the stitched result is bit-identical to a single-range
-	// evaluation regardless of shard count. Sharding requires the
-	// scenario's compiled plan to be Shardable; other plans silently use
-	// the single-range path.
+	// contiguous ranges evaluated concurrently, whose partial column
+	// vectors are stitched back in world order (default 1: one range,
+	// evaluated inline). Because world seeds derive per (site, world), the
+	// stitched result is bit-identical for every shard count. A plan that
+	// is not Shardable always evaluates as one range.
 	Shards int
 	// Runner, when non-nil, evaluates shards remotely (the HTTP fan-out in
 	// internal/server). A shard whose runner call fails is re-evaluated
@@ -62,12 +60,12 @@ type Options struct {
 	// VG-Functions; determinism of (seed base, site, world) seeds makes the
 	// cached vectors bit-identical to fresh simulation.
 	ShardInputs *storage.Store
-	// SketchOnly makes sharded evaluations return ONLY merged per-column
-	// sketches (Welford moments + t-digest) — PointResult.Columns stays nil
-	// — so remote shard responses are O(compression) instead of O(worlds).
+	// SketchOnly makes evaluations return ONLY merged per-column sketches
+	// (Welford moments + t-digest) — PointResult.Columns stays nil — so
+	// remote shard responses are O(compression) instead of O(worlds).
 	// Consumers read Expect/StdDev/quantiles/CI95 from the sketches within
-	// the t-digest error bound. Requires a shardable plan; non-shardable
-	// plans fall back to the full single-range path.
+	// the t-digest error bound. A plan that is not Shardable evaluates as
+	// one range with full columns and no sketches.
 	SketchOnly bool
 	// ShardWeights, when non-nil with a remote Runner, supplies one
 	// positive weight per shard slot just before each point's split; shard
@@ -234,24 +232,15 @@ func (r *Reuse) install(site, key string, samples []float64, fp core.Fingerprint
 
 // Evaluator evaluates scenario points.
 type Evaluator struct {
-	scn     *scenario.Scenario
-	opts    Options
-	catalog *sqlengine.Catalog
-	engine  *sqlengine.Engine
-
-	// The evaluator-owned possible-worlds table, updated in place per
-	// point: the column headers are repointed at the fresh sample vectors
-	// instead of allocating an ord vector, column headers and a ColTable
-	// every point around the (allocation-free) compiled plan execution.
-	worldCols    []string
-	worldColumns []*sqlengine.Column
-	worlds       *sqlengine.ColTable
+	scn       *scenario.Scenario
+	opts      Options
+	worldCols []string
 
 	// ord holds world ordinals 0..cap-1, filled to a high-water mark and
-	// shared read-only by the single-range path and every shard env.
+	// shared read-only by every world range's env.
 	ord []int64
 
-	// envs pools per-shard execution environments (own catalog + engine +
+	// envs pools per-range execution environments (own catalog + engine +
 	// worlds table over a world sub-range).
 	envMu sync.Mutex
 	envs  []*shardEnv
@@ -281,32 +270,19 @@ func ownedWorldsTable(cols []string) ([]*sqlengine.Column, *sqlengine.ColTable, 
 }
 
 // NewEvaluator returns an evaluator for the compiled scenario. The
-// scenario's static side tables are installed into the evaluator's catalog.
+// scenario's static side tables are installed into each execution
+// environment's catalog.
 func NewEvaluator(scn *scenario.Scenario, opts Options) *Evaluator {
-	cat := sqlengine.NewCatalog()
-	for _, t := range scn.StaticTables {
-		cat.Put(t)
-	}
-	ev := &Evaluator{
+	return &Evaluator{
 		scn:       scn,
 		opts:      opts.WithDefaults(),
-		catalog:   cat,
-		engine:    sqlengine.New(cat),
 		worldCols: worldsSchema(scn),
 	}
-	var err error
-	ev.worldColumns, ev.worlds, err = ownedWorldsTable(ev.worldCols)
-	if err != nil {
-		// Impossible by construction: the schema always has >= 1 column
-		// with equal (zero) lengths.
-		panic(err)
-	}
-	return ev
 }
 
 // ordRange returns world ordinals [lo, hi) as a slice of the shared,
 // fill-once ordinal vector, growing it to hi when needed. Callers only read
-// the slice; growth happens on the coordinating goroutine before shard
+// the slice; growth happens on the coordinating goroutine before range
 // goroutines start.
 func (ev *Evaluator) ordRange(lo, hi int) []int64 {
 	if hi > len(ev.ord) {
@@ -321,13 +297,14 @@ func (ev *Evaluator) ordRange(lo, hi int) []int64 {
 }
 
 // Reconfigure retargets the evaluator at a new (worlds, seed base, sketch
-// mode) triple without discarding its warmed state — the compiled plan,
-// catalog, pooled shard envs and grown ordinal vector all carry over. This
-// is what makes a per-fingerprint evaluator freelist worthwhile on a shard
-// worker: consecutive requests for the same scenario differ only in these
-// render parameters, and rebuilding an Evaluator per request repays the
-// whole warm-up every shard. Zero worlds/seedBase take the defaults. Not
-// safe to call concurrently with an evaluation.
+// mode) triple without discarding its warmed state: the pooled execution
+// envs (catalog, engine, worlds table, simulation buffers) and the grown
+// ordinal vector carry over. This is what makes a per-fingerprint evaluator
+// freelist worthwhile on a shard worker: consecutive requests for the same
+// scenario differ only in these render parameters, and rebuilding an
+// Evaluator per request repays the whole warm-up every shard. The sketch
+// mode means what Options.SketchOnly means. Zero worlds/seedBase take the
+// defaults. Not safe to call concurrently with an evaluation.
 func (ev *Evaluator) Reconfigure(worlds int, seedBase uint64, sketchOnly bool) {
 	o := ev.opts
 	o.Worlds = worlds
@@ -335,10 +312,6 @@ func (ev *Evaluator) Reconfigure(worlds int, seedBase uint64, sketchOnly bool) {
 	o.SketchOnly = sketchOnly
 	ev.opts = o.WithDefaults()
 }
-
-// Catalog exposes the evaluator's catalog so callers can install static
-// side tables the scenario query joins against.
-func (ev *Evaluator) Catalog() *sqlengine.Catalog { return ev.catalog }
 
 // Options returns the effective options.
 func (ev *Evaluator) Options() Options { return ev.opts }
@@ -372,8 +345,9 @@ type PointResult struct {
 	// SQL is the pure TSQL the Query Generator emitted for this point.
 	SQL string
 	// Sketches holds the merged per-column mergeable aggregates (moments +
-	// t-digest) when the point was evaluated in shards; nil on the
-	// single-range path, where aggregation folds the full vectors directly.
+	// t-digest) when the point was split into several ranges, evaluated
+	// sketch-only or harvested degraded; nil when a single range returned
+	// full columns, which aggregation folds directly.
 	Sketches map[string]*aggregate.ColumnStats
 	// Degraded marks a partial result: the context deadline expired before
 	// the full world budget and Options.AllowDegraded harvested the shards
@@ -430,42 +404,131 @@ func recoverToError(dst *error, stage string) {
 	}
 }
 
-// EvaluatePoint runs the full pipeline for one parameter point. The context
-// is checked between sites and once per world-batch during simulation, so
-// cancellation aborts a long evaluation promptly; the first error returned
-// after cancellation wraps ctx.Err().
+// EvaluatePoint runs the full pipeline for one parameter point. The world
+// range [0, Worlds) is split into Options.Shards contiguous ranges; each
+// range simulates its sites (or slices the reuse-aware vectors computed
+// once for the whole point), materializes its worlds table and executes the
+// compiled plan, and the ranges' output columns are stitched back in world
+// order. Because world seeds derive per (site, world), the result is
+// bit-identical for every split. A plan that is not Shardable, a one-world
+// render and Shards <= 1 evaluate a single range inline, with no fan-out
+// and no sketches unless SketchOnly asks for them.
 //
-// With Options.Shards > 1 (or a remote Runner configured) and a shardable
-// scenario plan, the world range is split into contiguous shards evaluated
-// concurrently and stitched back in world order — bit-identical to the
-// single-range evaluation because world seeds derive per (site, world).
+// The context is checked between sites and once per world-batch during
+// simulation, so cancellation aborts a long evaluation promptly; the first
+// error returned after cancellation wraps ctx.Err().
 //
-// An Evaluator is not safe for concurrent EvaluatePoint calls (the
-// possible-worlds table lives in its catalog); share the Reuse engine and
-// give each goroutine its own Evaluator instead.
+// An Evaluator is not safe for concurrent EvaluatePoint calls (its ordinal
+// vector grows in place); share the Reuse engine and give each goroutine
+// its own Evaluator instead.
 func (ev *Evaluator) EvaluatePoint(ctx context.Context, pt guide.Point) (*PointResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if (ev.opts.Shards > 1 || ev.opts.Runner != nil || ev.opts.SketchOnly || ev.opts.AllowDegraded) && ev.scn.Plan().Shardable() && ev.opts.Worlds > 1 {
-		return ev.evaluateSharded(ctx, pt)
-	}
+	n := ev.opts.Worlds
 	// The point span groups this point's stage spans under the render's
 	// active span; with no active span every obs call below is a nil no-op.
 	psp := obs.SpanFrom(ctx).Child("point")
 	defer psp.End()
-	psp.SetInt("worlds", int64(ev.opts.Worlds))
+	psp.SetInt("worlds", int64(n))
 	res := &PointResult{
 		Point:       pt,
-		Worlds:      ev.opts.Worlds,
-		Columns:     make(map[string][]float64, len(ev.scn.OutputCols)),
+		Worlds:      n,
 		SiteOutcome: make(map[string]ReuseKind, len(ev.scn.Sites)),
 	}
+	// The Query Generator's pure TSQL is kept for diagnostics (the paper's
+	// GUI displays it); execution runs the scenario's compiled plan.
+	sql, err := ev.scn.GenerateSQL(pt)
+	if err != nil {
+		return nil, err
+	}
+	res.SQL = sql
 
-	// 1. Obtain per-site sample vectors (fresh or re-mapped).
+	// Only a row-wise plan over more than one world splits its range, goes
+	// to a remote runner or answers with sketches alone.
+	split := ev.scn.Plan().Shardable() && n > 1
+	remote := split && ev.opts.Runner != nil
+	sketchOnly := split && ev.opts.SketchOnly
+	ranges := []WorldRange{{Lo: 0, Hi: n}}
+	if split {
+		ranges = SplitWorlds(n, ev.opts.Shards)
+		// Worker-aware sizing: per-worker weights (latency EWMAs, advertised
+		// capacities) size remote ranges so a slow worker gets a small one.
+		if remote && ev.opts.ShardWeights != nil {
+			if ws := ev.opts.ShardWeights(); len(ws) > 0 {
+				ranges = SplitWorldsWeighted(n, ws)
+			}
+		}
+	}
+	tasks := ev.shardTasks(pt, ranges, sketchOnly)
+
+	// Site samples: with reuse the coordinator computes full reuse-aware
+	// vectors once and every range slices them; otherwise each range
+	// simulates its own worlds. Remote workers always re-derive samples
+	// from seeds, so a runner bypasses reuse.
+	var siteSamples [][]float64
+	if ev.opts.Reuse != nil && !remote {
+		if siteSamples, err = ev.reuseSamples(ctx, psp, pt, res.SiteOutcome); err != nil {
+			return nil, err
+		}
+	} else {
+		for si := range ev.scn.Sites {
+			res.SiteOutcome[ev.scn.Sites[si].ID] = Computed
+		}
+	}
+
+	var outs []*ShardOutput
+	if len(tasks) == 1 && !remote {
+		out, err := ev.runShardLocal(obs.With(ctx, psp), tasks[0], siteSamples, ev.ordRange(0, n), ev.opts.Workers, sketchOnly)
+		if err != nil {
+			return nil, err
+		}
+		if !sketchOnly {
+			res.Columns = out.Columns
+			return res, nil
+		}
+		outs = []*ShardOutput{out}
+	} else {
+		fsp := psp.Child("shard-fanout")
+		fsp.SetInt("shards", int64(len(tasks)))
+		if sketchOnly {
+			fsp.SetInt("sketch_only", 1)
+		}
+		// Several ranges imply a shardable plan, so a configured runner is
+		// always the remote one.
+		var errs []error
+		outs, errs = ev.fanOut(ctx, fsp, tasks, siteSamples, ev.opts.Runner)
+		fsp.End()
+		if err := firstError(errs); err != nil {
+			// Deadline mid-fan-out: with AllowDegraded, the ranges that DID
+			// complete are still a statistically honest (if wider-CI) answer
+			// — merge their sketches instead of failing the render.
+			if ev.opts.AllowDegraded && ctx.Err() != nil && ev.harvestDegraded(res, tasks, outs, errs, psp) {
+				return res, nil
+			}
+			return nil, err
+		}
+	}
+	msp := psp.Child("sketch-merge")
+	columns, sketches, err := stitchShards(outs, sketchOnly)
+	msp.End()
+	if err != nil {
+		return nil, err
+	}
+	res.Columns = columns
+	if len(sketches) > 0 {
+		res.Sketches = sketches
+	}
+	return res, nil
+}
+
+// reuseSamples computes every site's full [0, Worlds) sample vector through
+// the reuse engine under a simulate span, recording each site's outcome.
+func (ev *Evaluator) reuseSamples(ctx context.Context, psp *obs.Span, pt guide.Point, outcome map[string]ReuseKind) ([][]float64, error) {
 	ssp := psp.Child("simulate")
+	defer ssp.End()
 	var spillBefore storage.Stats
-	if ssp != nil && ev.opts.Reuse != nil {
+	if ssp != nil {
 		spillBefore = ev.opts.Reuse.store.Stats()
 	}
 	siteSamples := make([][]float64, len(ev.scn.Sites))
@@ -479,79 +542,14 @@ func (ev *Evaluator) EvaluatePoint(ctx context.Context, pt guide.Point) (*PointR
 			return nil, err
 		}
 		siteSamples[si] = samples
-		res.SiteOutcome[site.ID] = kind
+		outcome[site.ID] = kind
 	}
 	if ssp != nil {
 		ssp.SetInt("sites", int64(len(ev.scn.Sites)))
-		recordOutcomes(ssp, res.SiteOutcome)
-		if ev.opts.Reuse != nil {
-			noteSpillDeltas(ssp, spillBefore, ev.opts.Reuse.store.Stats())
-		}
+		recordOutcomes(ssp, outcome)
+		noteSpillDeltas(ssp, spillBefore, ev.opts.Reuse.store.Stats())
 	}
-	ssp.End()
-
-	// 2. Materialize the possible-worlds table — directly as columns: the
-	// world ordinal is an int vector and each site's sample vector becomes a
-	// float column as-is, with no row transpose and no boxing. The table and
-	// its column headers are evaluator-owned and updated in place; only the
-	// catalog entry is refreshed, so the compiled plan's zero-allocation
-	// execution is not surrounded by per-point table garbage.
-	msp := psp.Child("worlds-materialize")
-	ev.worldColumns[0].SetInts(ev.ordRange(0, ev.opts.Worlds))
-	for si := range ev.scn.Sites {
-		ev.worldColumns[si+1].SetFloats(siteSamples[si])
-	}
-	ev.catalog.PutColumns(ev.worlds)
-	msp.End()
-
-	// 3. Query Generator: emit pure TSQL for diagnostics (the paper's GUI
-	// displays it), then execute the scenario's COMPILED plan with the
-	// point's parameter bindings — semantically identical to parsing and
-	// executing the generated SQL (the differential suite asserts so), but
-	// with zero parse cost and, after warm-up, zero per-operator
-	// allocation: the plan's kernels write into pooled buffers that are
-	// recycled on Release below.
-	xsp := psp.Child("plan-execute")
-	var counters *sqlengine.ExecCounters
-	if xsp != nil {
-		counters = &sqlengine.ExecCounters{}
-	}
-	sql, err := ev.scn.GenerateSQL(pt)
-	if err != nil {
-		return nil, err
-	}
-	res.SQL = sql
-	out, err := ev.scn.Plan().ExecCounted(ev.engine, pt, counters)
-	if err != nil {
-		return nil, fmt.Errorf("mc: executing scenario plan: %w", err)
-	}
-	if out == nil {
-		return nil, fmt.Errorf("mc: scenario plan produced no result")
-	}
-	defer out.Release()
-	recordExecCounters(xsp, counters)
-	xsp.End()
-
-	// 4. Collect output samples as column slices — the Result Aggregator
-	// consumes float vectors, so the engine's typed columns convert without
-	// boxing a single row. Purely categorical (string) columns are carried
-	// in the SQL result but have no distribution to aggregate, so they are
-	// skipped here; NULLs or mixed types in a numeric column are errors.
-	for _, colName := range ev.scn.OutputCols {
-		col, err := out.Column(colName)
-		if err != nil {
-			return nil, err
-		}
-		if col.Len() > 0 && col.AllStrings() {
-			continue
-		}
-		fs, err := col.Float64s()
-		if err != nil {
-			return nil, fmt.Errorf("mc: output column %q: %w", colName, err)
-		}
-		res.Columns[colName] = fs
-	}
-	return res, nil
+	return siteSamples, nil
 }
 
 // probeCount returns k, the number of world-seed probes used as the
@@ -567,8 +565,8 @@ func (ev *Evaluator) probeCount() int {
 	return k
 }
 
-// samplesFor produces the per-world sample vector for one site at one
-// point, consulting the reuse engine when configured.
+// samplesFor produces the full per-world sample vector for one site at one
+// point through the reuse engine (Options.Reuse must be set).
 //
 // The fingerprint of a point is its output under the first k *world* seeds
 // — a prefix of the very sample vector the point would produce. This keeps
@@ -582,10 +580,6 @@ func (ev *Evaluator) samplesFor(ctx context.Context, site *scenario.Site, pt gui
 		return nil, Computed, err
 	}
 	r := ev.opts.Reuse
-	if r == nil {
-		samples, err := ev.simulate(ctx, site, args, 0, ev.opts.Worlds, nil)
-		return samples, Computed, err
-	}
 	if err := r.bindSeedBase(ev.opts.SeedBase); err != nil {
 		return nil, Computed, err
 	}
@@ -601,8 +595,8 @@ func (ev *Evaluator) samplesFor(ctx context.Context, site *scenario.Site, pt gui
 
 	// Probe the target at the first k world seeds (k VG invocations).
 	k := ev.probeCount()
-	probes, err := ev.simulate(ctx, site, args, 0, k, nil)
-	if err != nil {
+	probes := make([]float64, k)
+	if err := ev.simulate(ctx, site, args, 0, k, probes, ev.opts.Workers); err != nil {
 		return nil, Computed, fmt.Errorf("mc: fingerprinting %s%s: %w", site.ID, key, err)
 	}
 	fp := core.Fingerprint{Outputs: probes}
@@ -635,25 +629,21 @@ func (ev *Evaluator) samplesFor(ctx context.Context, site *scenario.Site, pt gui
 	}
 
 	// Simulate the remaining worlds; the probes are worlds 0..k-1.
-	samples, err := ev.simulate(ctx, site, args, k, ev.opts.Worlds, probes)
-	if err != nil {
+	samples := make([]float64, ev.opts.Worlds)
+	copy(samples, probes)
+	if err := ev.simulate(ctx, site, args, k, ev.opts.Worlds, samples[k:], ev.opts.Workers); err != nil {
 		return nil, Computed, err
 	}
 	r.install(site.ID, key, samples, fp)
 	return samples, Computed, nil
 }
 
-// simulate invokes the site's VG-Function for worlds [from, to), in
-// parallel, returning the full [0, to) vector. prefix supplies the already-
-// computed worlds [0, from) (nil when from is 0). The context is checked
-// once per batchWorlds worlds in every worker, so cancellation stops a long
-// simulation within one world-batch.
-func (ev *Evaluator) simulate(ctx context.Context, site *scenario.Site, args []value.Value, from, to int, prefix []float64) ([]float64, error) {
-	samples := make([]float64, to)
-	copy(samples, prefix[:from])
-	n := to - from
-	workers := ev.opts.Workers
-	if workers > n {
+// simulate invokes the site's VG-Function for worlds [from, to) on up to
+// workers goroutines, writing world i's sample to dst[i-from]. The context
+// is checked once per batchWorlds worlds in every goroutine, so
+// cancellation stops a long simulation within one world-batch.
+func (ev *Evaluator) simulate(ctx context.Context, site *scenario.Site, args []value.Value, from, to int, dst []float64, workers int) error {
+	if n := to - from; workers > n {
 		workers = n
 	}
 	run := func(lo, hi int) (err error) {
@@ -673,20 +663,17 @@ func (ev *Evaluator) simulate(ctx context.Context, site *scenario.Site, args []v
 			if err != nil {
 				return fmt.Errorf("mc: %s world %d: %w", site.ID, i, err)
 			}
-			samples[i] = f
+			dst[i-from] = f
 		}
 		return nil
 	}
 	if workers <= 1 {
-		if err := run(from, to); err != nil {
-			return nil, err
-		}
-		return samples, nil
+		return run(from, to)
 	}
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
-	chunk := (n + workers - 1) / workers
+	chunk := (to - from + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		lo := from + w*chunk
 		hi := lo + chunk
@@ -715,8 +702,8 @@ func (ev *Evaluator) simulate(ctx context.Context, site *scenario.Site, args []v
 	wg.Wait()
 	select {
 	case err := <-errCh:
-		return nil, err
+		return err
 	default:
 	}
-	return samples, nil
+	return nil
 }

@@ -1,18 +1,18 @@
 package mc
 
-// Sharded world evaluation: the Monte Carlo loop is embarrassingly parallel
+// World-range evaluation: the Monte Carlo loop is embarrassingly parallel
 // across possible worlds, and world seeds are derived per (site, world) —
 // so any worker, in-process or on another machine, reproduces exactly the
 // samples the coordinator would have computed for a world range [lo, hi).
-// A coordinator splits a point's range [0, Worlds) into contiguous shards,
-// each shard simulates its sites (or slices coordinator-computed vectors),
-// executes the scenario's compiled plan over a shard-local worlds table,
-// and returns partial output columns in world order plus mergeable
-// per-column sketches (Welford moments + t-digest). The coordinator
-// stitches the partial columns back in shard order — bit-identical to the
-// single-range evaluation, because the compiled plan is row-wise over the
-// worlds-major relation (sqlengine.Plan.Shardable) — and merges the
-// sketches for consumers that want aggregates without a second pass.
+// EvaluatePoint splits a point's range [0, Worlds) into contiguous ranges
+// (one, in the common case); each range simulates its sites (or slices
+// coordinator-computed vectors), executes the scenario's compiled plan over
+// a range-local worlds table, and returns output columns in world order.
+// Several ranges are stitched back in range order — bit-identical to one
+// range, because the compiled plan is row-wise over the worlds-major
+// relation (sqlengine.Plan.Shardable) — and their mergeable per-column
+// sketches (Welford moments + t-digest) are merged for consumers that want
+// aggregates without a second pass.
 
 import (
 	"context"
@@ -25,10 +25,8 @@ import (
 	"fuzzyprophet/internal/aggregate"
 	"fuzzyprophet/internal/guide"
 	"fuzzyprophet/internal/obs"
-	"fuzzyprophet/internal/scenario"
 	"fuzzyprophet/internal/sqlengine"
 	"fuzzyprophet/internal/storage"
-	"fuzzyprophet/internal/value"
 )
 
 // WorldRange is a half-open shard [Lo, Hi) of a render's world range.
@@ -144,10 +142,10 @@ type ShardOutput struct {
 // An error return makes the coordinator re-evaluate the shard locally.
 type ShardRunner func(ctx context.Context, task ShardTask) (*ShardOutput, error)
 
-// shardEnv is one pooled shard-execution environment: its own catalog and
-// engine (the shard's worlds table must not race the coordinator's), an
-// owned worlds table over the shard's world sub-range, and per-site
-// simulation buffers for self-simulated shards.
+// shardEnv is one pooled range-execution environment: its own catalog and
+// engine (concurrent ranges must not share a worlds table), an owned worlds
+// table over the range's worlds, and per-site simulation buffers for
+// self-simulated ranges.
 type shardEnv struct {
 	catalog *sqlengine.Catalog
 	engine  *sqlengine.Engine
@@ -201,30 +199,6 @@ func (env *shardEnv) siteRange(si, m int) []float64 {
 	return env.siteBuf[si]
 }
 
-// simulateRange invokes one site's VG-Function for worlds [lo, hi) of the
-// task, writing into dst (len hi-lo). The context is checked once per
-// world-batch, exactly like the single-range simulate loop.
-func (ev *Evaluator) simulateRange(ctx context.Context, site *scenario.Site, args []value.Value, task ShardTask, dst []float64) error {
-	lo, hi := task.Range.Lo, task.Range.Hi
-	for i := lo; i < hi; i++ {
-		if (i-lo)%batchWorlds == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		v, err := ev.scn.Registry.Invoke(site.Name, WorldSeed(task.SeedBase, site.ID, i), args)
-		if err != nil {
-			return fmt.Errorf("mc: %s world %d: %w", site.ID, i, err)
-		}
-		f, err := v.AsFloat()
-		if err != nil {
-			return fmt.Errorf("mc: %s world %d: %w", site.ID, i, err)
-		}
-		dst[i-lo] = f
-	}
-	return nil
-}
-
 // shardInputKey encodes everything a self-simulated shard input vector
 // depends on beyond the site: the argument key, the seed base and the
 // world range.
@@ -233,12 +207,17 @@ func shardInputKey(argKey string, seedBase uint64, lo, hi int) string {
 		strconv.Itoa(lo) + ":" + strconv.Itoa(hi)
 }
 
-// runShardLocal evaluates one shard in process. ord holds the shard's
-// world ordinals (len task.Range.Len(), absolute values). When siteSamples
-// is non-nil it holds full [0, Worlds) per-site vectors (computed by the
-// coordinator, reuse-aware) and the shard just slices its range; otherwise
-// the shard simulates its own range from the task's seeds.
-func (ev *Evaluator) runShardLocal(ctx context.Context, task ShardTask, siteSamples [][]float64, ord []int64) (*ShardOutput, error) {
+// runShardLocal evaluates one world range in process. ord holds the
+// range's world ordinals (len task.Range.Len(), absolute values). When
+// siteSamples is non-nil it holds full [0, Worlds) per-site vectors
+// (computed by the coordinator, reuse-aware) and the range just slices
+// them; otherwise the range simulates its own worlds from the task's seeds
+// on up to workers goroutines. With sketch set (required on sketch-only
+// tasks) every output column also gets a mergeable sketch.
+func (ev *Evaluator) runShardLocal(ctx context.Context, task ShardTask, siteSamples [][]float64, ord []int64, workers int, sketch bool) (_ *ShardOutput, err error) {
+	// A panic in a plan kernel fails this range's evaluation, not the
+	// process, whether the range runs inline or on a fan-out goroutine.
+	defer recoverToError(&err, "shard")
 	env, err := ev.acquireEnv()
 	if err != nil {
 		return nil, err
@@ -246,61 +225,14 @@ func (ev *Evaluator) runShardLocal(ctx context.Context, task ShardTask, siteSamp
 	defer ev.releaseEnv(env)
 
 	sp := obs.SpanFrom(ctx)
-	ssp := sp.Child("simulate")
-	var inputsBefore storage.Stats
-	if ssp != nil && ev.opts.ShardInputs != nil {
-		inputsBefore = ev.opts.ShardInputs.Stats()
-	}
-	var cacheHits int64
 	lo, hi := task.Range.Lo, task.Range.Hi
-	for si := range ev.scn.Sites {
-		var vec []float64
-		if siteSamples != nil {
-			vec = siteSamples[si][lo:hi]
-		} else {
-			site := &ev.scn.Sites[si]
-			args, key, err := site.ArgValues(task.Point)
-			if err != nil {
-				return nil, err
-			}
-			// Worker-mode shard-input cache: a worker re-rendering the same
-			// point serves the range's samples from the store (RAM or spill
-			// tier) instead of re-invoking the VG-Function per world. The
-			// key pins everything the samples depend on — args, seed base
-			// and world range — so a hit is bit-identical by determinism.
-			var cacheKey string
-			if ev.opts.ShardInputs != nil {
-				cacheKey = shardInputKey(key, task.SeedBase, lo, hi)
-				if cached, ok := ev.opts.ShardInputs.Get(site.ID, cacheKey); ok && len(cached) == hi-lo {
-					cacheHits++
-					env.columns[si+1].SetFloats(cached)
-					continue
-				}
-			}
-			vec = env.siteRange(si, hi-lo)
-			if err := ev.simulateRange(ctx, site, args, task, vec); err != nil {
-				return nil, err
-			}
-			if ev.opts.ShardInputs != nil {
-				ev.opts.ShardInputs.Put(site.ID, cacheKey, vec)
-			}
+	if siteSamples != nil {
+		for si := range ev.scn.Sites {
+			env.columns[si+1].SetFloats(siteSamples[si][lo:hi])
 		}
-		env.columns[si+1].SetFloats(vec)
+	} else if err := ev.simulateInto(ctx, sp, env, task, workers); err != nil {
+		return nil, err
 	}
-	if ssp != nil {
-		ssp.SetInt("worlds", int64(hi-lo))
-		ssp.SetInt("sites", int64(len(ev.scn.Sites)))
-		if siteSamples != nil {
-			ssp.SetInt("sliced", 1) // coordinator-computed vectors, no simulation
-		}
-		if cacheHits > 0 {
-			ssp.SetInt("shard_input_cache_hits", cacheHits)
-		}
-		if ev.opts.ShardInputs != nil {
-			noteSpillDeltas(ssp, inputsBefore, ev.opts.ShardInputs.Stats())
-		}
-	}
-	ssp.End()
 
 	msp := sp.Child("worlds-materialize")
 	env.columns[0].SetInts(ord)
@@ -314,17 +246,22 @@ func (ev *Evaluator) runShardLocal(ctx context.Context, task ShardTask, siteSamp
 	}
 	out, err := ev.scn.Plan().ExecCounted(env.engine, task.Point, counters)
 	if err != nil {
-		return nil, fmt.Errorf("mc: executing scenario plan for shard [%d,%d): %w", lo, hi, err)
+		return nil, fmt.Errorf("mc: executing scenario plan for worlds [%d,%d): %w", lo, hi, err)
 	}
 	if out == nil {
-		return nil, fmt.Errorf("mc: scenario plan produced no result for shard [%d,%d)", lo, hi)
+		return nil, fmt.Errorf("mc: scenario plan produced no result for worlds [%d,%d)", lo, hi)
 	}
 	defer out.Release()
 	recordExecCounters(xsp, counters)
 	xsp.End()
 
-	result := &ShardOutput{
-		Sketches: make(map[string]aggregate.ColumnSketch, len(ev.scn.OutputCols)),
+	// Output samples convert column-wise without boxing a row. Purely
+	// categorical (string) columns are carried in the SQL result but have
+	// no distribution to aggregate, so they are skipped; NULLs or mixed
+	// types in a numeric column are errors.
+	result := &ShardOutput{}
+	if sketch {
+		result.Sketches = make(map[string]aggregate.ColumnSketch, len(ev.scn.OutputCols))
 	}
 	if !task.SketchOnly {
 		result.Columns = make(map[string][]float64, len(ev.scn.OutputCols))
@@ -344,49 +281,122 @@ func (ev *Evaluator) runShardLocal(ctx context.Context, task ShardTask, siteSamp
 		if !task.SketchOnly {
 			result.Columns[colName] = fs
 		}
-		cs := aggregate.NewColumnStats()
-		cs.AddAll(fs)
-		result.Sketches[colName] = cs.Sketch()
+		if sketch {
+			cs := aggregate.NewColumnStats()
+			cs.AddAll(fs)
+			result.Sketches[colName] = cs.Sketch()
+		}
 	}
 	return result, nil
 }
 
-// stitchShards concatenates the shards' partial columns in shard (= world)
-// order and merges their sketches. A column that SOME shards skipped as
-// categorical (all-string) while others carried it empty — an empty shard
-// cannot see the column's type — is dropped, matching the single-range
-// path's skip of categorical columns; a shard carrying numeric rows for a
-// column another shard deemed categorical is a genuine type mix and errors
-// (the single-range conversion would error on it too).
-func stitchShards(outs []*ShardOutput) (map[string][]float64, map[string]*aggregate.ColumnStats, error) {
+// simulateInto fills env's worlds-table site columns for the task's range
+// under a simulate span: each site's samples come from the shard-input
+// cache when configured and warm, otherwise from fresh VG invocations.
+func (ev *Evaluator) simulateInto(ctx context.Context, sp *obs.Span, env *shardEnv, task ShardTask, workers int) error {
+	ssp := sp.Child("simulate")
+	defer ssp.End()
+	var inputsBefore storage.Stats
+	if ssp != nil && ev.opts.ShardInputs != nil {
+		inputsBefore = ev.opts.ShardInputs.Stats()
+	}
+	var cacheHits int64
+	lo, hi := task.Range.Lo, task.Range.Hi
+	for si := range ev.scn.Sites {
+		site := &ev.scn.Sites[si]
+		args, key, err := site.ArgValues(task.Point)
+		if err != nil {
+			return err
+		}
+		// Worker-mode shard-input cache: a worker re-rendering the same
+		// point serves the range's samples from the store (RAM or spill
+		// tier) instead of re-invoking the VG-Function per world. The key
+		// pins everything the samples depend on — args, seed base and world
+		// range — so a hit is bit-identical by determinism.
+		var cacheKey string
+		if ev.opts.ShardInputs != nil {
+			cacheKey = shardInputKey(key, task.SeedBase, lo, hi)
+			if cached, ok := ev.opts.ShardInputs.Get(site.ID, cacheKey); ok && len(cached) == hi-lo {
+				cacheHits++
+				env.columns[si+1].SetFloats(cached)
+				continue
+			}
+		}
+		vec := env.siteRange(si, hi-lo)
+		if err := ev.simulate(ctx, site, args, lo, hi, vec, workers); err != nil {
+			return err
+		}
+		if ev.opts.ShardInputs != nil {
+			ev.opts.ShardInputs.Put(site.ID, cacheKey, vec)
+		}
+		env.columns[si+1].SetFloats(vec)
+	}
+	if ssp != nil {
+		ssp.SetInt("worlds", int64(hi-lo))
+		ssp.SetInt("sites", int64(len(ev.scn.Sites)))
+		if cacheHits > 0 {
+			ssp.SetInt("shard_input_cache_hits", cacheHits)
+		}
+		if ev.opts.ShardInputs != nil {
+			noteSpillDeltas(ssp, inputsBefore, ev.opts.ShardInputs.Stats())
+		}
+	}
+	return nil
+}
+
+// stitchShards concatenates the ranges' partial columns in range (= world)
+// order and merges their sketches; with sketchOnly no sample vectors came
+// back, so it only merges sketches (a sketch's Count stands in for its
+// range's row count) and returns nil columns. A column that SOME ranges
+// skipped as categorical (all-string) while others carried it empty — an
+// empty range cannot see the column's type — is dropped, like every
+// categorical column; a range carrying numeric rows for a column another
+// range deemed categorical is a genuine type mix and errors (converting
+// the whole column would error on it too).
+func stitchShards(outs []*ShardOutput, sketchOnly bool) (map[string][]float64, map[string]*aggregate.ColumnStats, error) {
 	names := make(map[string]bool)
-	total := make(map[string]int)
+	total := make(map[string]int64)
 	inAll := make(map[string]int)
 	for _, out := range outs {
+		if sketchOnly {
+			for col, sk := range out.Sketches {
+				names[col] = true
+				total[col] += sk.Count
+				inAll[col]++
+			}
+			continue
+		}
 		for col, fs := range out.Columns {
 			names[col] = true
-			total[col] += len(fs)
+			total[col] += int64(len(fs))
 			inAll[col]++
 		}
 	}
-	columns := make(map[string][]float64, len(names))
+	var columns map[string][]float64
+	if !sketchOnly {
+		columns = make(map[string][]float64, len(names))
+	}
 	sketches := make(map[string]*aggregate.ColumnStats, len(names))
 	for col := range names {
 		if inAll[col] < len(outs) {
 			if total[col] > 0 {
 				return nil, nil, fmt.Errorf("mc: column %q is categorical in some shards but numeric in others", col)
 			}
-			continue // categorical: every shard with rows skipped it
+			continue // categorical: every range with rows skipped it
 		}
-		full := make([]float64, 0, total[col])
 		parts := make([]aggregate.ColumnSketch, 0, len(outs))
 		for _, out := range outs {
-			full = append(full, out.Columns[col]...)
 			if sk, ok := out.Sketches[col]; ok {
 				parts = append(parts, sk)
 			}
 		}
-		columns[col] = full
+		if !sketchOnly {
+			full := make([]float64, 0, total[col])
+			for _, out := range outs {
+				full = append(full, out.Columns[col]...)
+			}
+			columns[col] = full
+		}
 		if merged := aggregate.MergeSketches(parts); merged != nil {
 			sketches[col] = merged
 		}
@@ -394,141 +404,54 @@ func stitchShards(outs []*ShardOutput) (map[string][]float64, map[string]*aggreg
 	return columns, sketches, nil
 }
 
-// stitchSketches is stitchShards for sketch-only shards: no sample vectors
-// came back, so column presence and the categorical-mix check run over the
-// sketch maps (a shard's sketch Count plays the role of its row count) and
-// the merge is pure sketch merging — O(shards · compression) total.
-func stitchSketches(outs []*ShardOutput) (map[string]*aggregate.ColumnStats, error) {
-	names := make(map[string]bool)
-	total := make(map[string]int64)
-	inAll := make(map[string]int)
-	for _, out := range outs {
-		for col, sk := range out.Sketches {
-			names[col] = true
-			total[col] += sk.Count
-			inAll[col]++
+// shardTasks returns one task per world range of the point's render.
+func (ev *Evaluator) shardTasks(pt guide.Point, ranges []WorldRange, sketchOnly bool) []ShardTask {
+	tasks := make([]ShardTask, len(ranges))
+	for i, r := range ranges {
+		tasks[i] = ShardTask{
+			Point:      pt,
+			Worlds:     ev.opts.Worlds,
+			SeedBase:   ev.opts.SeedBase,
+			Range:      r,
+			Index:      i,
+			SketchOnly: sketchOnly,
 		}
 	}
-	sketches := make(map[string]*aggregate.ColumnStats, len(names))
-	for col := range names {
-		if inAll[col] < len(outs) {
-			if total[col] > 0 {
-				return nil, fmt.Errorf("mc: column %q is categorical in some shards but numeric in others", col)
-			}
-			continue // categorical: every shard with rows skipped it
-		}
-		parts := make([]aggregate.ColumnSketch, 0, len(outs))
-		for _, out := range outs {
-			parts = append(parts, out.Sketches[col])
-		}
-		if merged := aggregate.MergeSketches(parts); merged != nil {
-			sketches[col] = merged
-		}
-	}
-	return sketches, nil
+	return tasks
 }
 
-// evaluateSharded is EvaluatePoint's sharded path: split, fan out, stitch.
-func (ev *Evaluator) evaluateSharded(ctx context.Context, pt guide.Point) (*PointResult, error) {
-	n := ev.opts.Worlds
-	psp := obs.SpanFrom(ctx).Child("point")
-	defer psp.End()
-	psp.SetInt("worlds", int64(n))
-	res := &PointResult{
-		Point:       pt,
-		Worlds:      n,
-		SiteOutcome: make(map[string]ReuseKind, len(ev.scn.Sites)),
-	}
-	sql, err := ev.scn.GenerateSQL(pt)
-	if err != nil {
-		return nil, err
-	}
-	res.SQL = sql
-
-	// Site samples: with a remote runner the workers re-derive them from
-	// seeds (reuse bypassed); locally with reuse enabled the coordinator
-	// computes full reuse-aware vectors once and shards slice them; locally
-	// without reuse each shard simulates its own range in parallel.
-	remote := ev.opts.Runner != nil
-	var siteSamples [][]float64
-	if !remote && ev.opts.Reuse != nil {
-		ssp := psp.Child("simulate")
-		var spillBefore storage.Stats
-		if ssp != nil {
-			spillBefore = ev.opts.Reuse.store.Stats()
-		}
-		siteSamples = make([][]float64, len(ev.scn.Sites))
-		for si := range ev.scn.Sites {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			site := &ev.scn.Sites[si]
-			samples, kind, err := ev.samplesFor(ctx, site, pt)
-			if err != nil {
-				return nil, err
-			}
-			siteSamples[si] = samples
-			res.SiteOutcome[site.ID] = kind
-		}
-		if ssp != nil {
-			ssp.SetInt("sites", int64(len(ev.scn.Sites)))
-			recordOutcomes(ssp, res.SiteOutcome)
-			noteSpillDeltas(ssp, spillBefore, ev.opts.Reuse.store.Stats())
-		}
-		ssp.End()
-	} else {
-		for si := range ev.scn.Sites {
-			res.SiteOutcome[ev.scn.Sites[si].ID] = Computed
-		}
-	}
-
-	// Worker-aware sizing: when the caller supplies per-worker weights
-	// (latency EWMAs, advertised capacities), shards are sized
-	// proportionally so a slow worker gets a small range instead of
-	// stalling the stitch. Weights only make sense for remote fan-out —
-	// local shards all run on the same cores.
-	ranges := SplitWorlds(n, ev.opts.Shards)
-	if remote && ev.opts.ShardWeights != nil {
-		if ws := ev.opts.ShardWeights(); len(ws) > 0 {
-			ranges = SplitWorldsWeighted(n, ws)
-		}
-	}
-	sketchOnly := ev.opts.SketchOnly
-	ev.ordRange(0, n) // pre-grow so shard goroutines only read
-	fsp := psp.Child("shard-fanout")
-	fsp.SetInt("shards", int64(len(ranges)))
-	if sketchOnly {
-		fsp.SetInt("sketch_only", 1)
-	}
-	outs := make([]*ShardOutput, len(ranges))
-	errs := make([]error, len(ranges))
+// fanOut evaluates every task concurrently, each on its own goroutine under
+// a "shard" child of sp, and returns the outputs and errors in task order.
+// With a runner each task is sent to it first; a task whose runner call
+// fails before ctx is done is re-evaluated locally, so a failed worker
+// costs latency, not the render. Local ranges self-simulate with the
+// evaluator's Workers budget shared between them, and always build
+// sketches for the stitch.
+func (ev *Evaluator) fanOut(ctx context.Context, sp *obs.Span, tasks []ShardTask, siteSamples [][]float64, runner ShardRunner) ([]*ShardOutput, []error) {
+	workers := max(1, ev.opts.Workers/len(tasks))
+	ev.ordRange(0, tasks[len(tasks)-1].Range.Hi) // grow once, before any goroutine reads
+	outs := make([]*ShardOutput, len(tasks))
+	errs := make([]error, len(tasks))
 	var wg sync.WaitGroup
-	for i := range ranges {
+	for i := range tasks {
+		task := tasks[i]
+		ord := ev.ordRange(task.Range.Lo, task.Range.Hi)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// A panic in a shard (bad VG, kernel bug) fails this shard only;
+			// A panic in a range (bad VG, kernel bug) fails this range only;
 			// wg.Done is registered first so it runs after the recovery.
 			defer recoverToError(&errs[i], "shard")
-			task := ShardTask{
-				Point:      pt,
-				Worlds:     n,
-				SeedBase:   ev.opts.SeedBase,
-				Range:      ranges[i],
-				Index:      i,
-				SketchOnly: sketchOnly,
-			}
-			// Each shard gets its own child span, carried via ctx so the
-			// local path's stage spans (and a remote worker's grafted
-			// subtree) land under it.
-			ssp := fsp.Child("shard")
+			// The shard span rides on ctx so the local stage spans (and a
+			// remote worker's grafted subtree) land under it.
+			ssp := sp.Child("shard")
 			defer ssp.End()
 			ssp.SetInt("lo", int64(task.Range.Lo))
 			ssp.SetInt("hi", int64(task.Range.Hi))
 			sctx := obs.With(ctx, ssp)
-			if remote {
+			if runner != nil {
 				ssp.SetStr("exec", "remote")
-				out, err := ev.opts.Runner(sctx, task)
+				out, err := runner(sctx, task)
 				if err == nil {
 					outs[i] = out
 					return
@@ -537,48 +460,23 @@ func (ev *Evaluator) evaluateSharded(ctx context.Context, pt guide.Point) (*Poin
 					errs[i] = err
 					return
 				}
-				// Per-shard local fallback: a failed worker costs latency,
-				// not the render.
 				ssp.SetStr("exec", "local-fallback")
 			}
-			outs[i], errs[i] = ev.runShardLocal(sctx, task, siteSamples, ev.ord[task.Range.Lo:task.Range.Hi])
+			outs[i], errs[i] = ev.runShardLocal(sctx, task, siteSamples, ord, workers, true)
 		}(i)
 	}
 	wg.Wait()
-	fsp.End()
+	return outs, errs
+}
+
+// firstError returns the first non-nil error of errs, or nil.
+func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
-			// Deadline mid-fan-out: with AllowDegraded, the shards that DID
-			// complete are still a statistically honest (if wider-CI) answer
-			// — merge their sketches instead of failing the render.
-			if ev.opts.AllowDegraded && ctx.Err() != nil && ev.harvestDegraded(res, ranges, outs, errs, psp) {
-				return res, nil
-			}
-			return nil, err
+			return err
 		}
 	}
-	msp := psp.Child("sketch-merge")
-	if sketchOnly {
-		sketches, err := stitchSketches(outs)
-		msp.End()
-		if err != nil {
-			return nil, err
-		}
-		if len(sketches) > 0 {
-			res.Sketches = sketches
-		}
-		return res, nil
-	}
-	columns, sketches, err := stitchShards(outs)
-	msp.End()
-	if err != nil {
-		return nil, err
-	}
-	res.Columns = columns
-	if len(sketches) > 0 {
-		res.Sketches = sketches
-	}
-	return res, nil
+	return nil
 }
 
 // harvestDegraded turns a deadline-cut fan-out into a partial result: the
@@ -588,7 +486,7 @@ func (ev *Evaluator) evaluateSharded(ctx context.Context, pt guide.Point) (*Poin
 // (deterministic bugs must surface, not degrade), or when the completed
 // sketches cannot be merged. Errors racing the deadline (cancelled
 // transports, cut simulations) are subsumed by the degraded result.
-func (ev *Evaluator) harvestDegraded(res *PointResult, ranges []WorldRange, outs []*ShardOutput, errs []error, psp *obs.Span) bool {
+func (ev *Evaluator) harvestDegraded(res *PointResult, tasks []ShardTask, outs []*ShardOutput, errs []error, psp *obs.Span) bool {
 	var done []*ShardOutput
 	completed := 0
 	for i, out := range outs {
@@ -600,13 +498,13 @@ func (ev *Evaluator) harvestDegraded(res *PointResult, ranges []WorldRange, outs
 			continue
 		}
 		done = append(done, out)
-		completed += ranges[i].Len()
+		completed += tasks[i].Range.Len()
 	}
 	if completed == 0 {
 		return false
 	}
 	msp := psp.Child("sketch-merge")
-	sketches, err := stitchSketches(done)
+	_, sketches, err := stitchShards(done, true)
 	msp.End()
 	if err != nil || len(sketches) == 0 {
 		return false
@@ -624,9 +522,10 @@ func (ev *Evaluator) harvestDegraded(res *PointResult, ranges []WorldRange, outs
 // rendering: an HTTP worker receives (scenario, point, seed base, range),
 // self-simulates the range from per-(site, world) seeds and returns the
 // partial columns and sketches for the coordinator to stitch. The shard is
-// itself split across Options.Shards in-process sub-shards, so a worker
-// saturates its own cores. Fingerprint reuse is not consulted (partial
-// vectors are not valid bases). Requires a shardable scenario plan.
+// itself split across Options.Shards in-process ranges and fanned out like
+// EvaluatePoint's, so a worker saturates its own cores. Fingerprint reuse
+// is not consulted (partial vectors are not valid bases). Requires a
+// shardable scenario plan.
 //
 // Like EvaluatePoint, EvaluateShard is not safe for concurrent calls on
 // one Evaluator.
@@ -640,59 +539,18 @@ func (ev *Evaluator) EvaluateShard(ctx context.Context, pt guide.Point, shard Wo
 	if !ev.scn.Plan().Shardable() {
 		return nil, fmt.Errorf("mc: scenario plan is not shardable (grouped or fallback query)")
 	}
-	m := shard.Len()
-	sub := SplitWorlds(m, ev.opts.Shards)
-	// A shard-local ordinal vector: a worker evaluator serves one request,
-	// so filling the shared [0, Hi) vector would cost O(total worlds) per
-	// request; this costs O(shard length).
-	ord := make([]int64, m)
-	for i := range ord {
-		ord[i] = int64(shard.Lo + i)
+	ranges := SplitWorlds(shard.Len(), ev.opts.Shards)
+	for i := range ranges {
+		ranges[i].Lo += shard.Lo
+		ranges[i].Hi += shard.Lo
 	}
 	sp := obs.SpanFrom(ctx)
-	outs := make([]*ShardOutput, len(sub))
-	errs := make([]error, len(sub))
-	var wg sync.WaitGroup
-	for i := range sub {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer recoverToError(&errs[i], "shard")
-			task := ShardTask{
-				Point:      pt,
-				Worlds:     ev.opts.Worlds,
-				SeedBase:   ev.opts.SeedBase,
-				Range:      WorldRange{Lo: shard.Lo + sub[i].Lo, Hi: shard.Lo + sub[i].Hi},
-				Index:      i,
-				SketchOnly: ev.opts.SketchOnly,
-			}
-			ssp := sp.Child("shard")
-			defer ssp.End()
-			ssp.SetInt("lo", int64(task.Range.Lo))
-			ssp.SetInt("hi", int64(task.Range.Hi))
-			outs[i], errs[i] = ev.runShardLocal(obs.With(ctx, ssp), task, nil, ord[sub[i].Lo:sub[i].Hi])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	outs, errs := ev.fanOut(ctx, sp, ev.shardTasks(pt, ranges, ev.opts.SketchOnly), nil, nil)
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 	msp := sp.Child("sketch-merge")
-	if ev.opts.SketchOnly {
-		sketches, err := stitchSketches(outs)
-		msp.End()
-		if err != nil {
-			return nil, err
-		}
-		out := &ShardOutput{Sketches: make(map[string]aggregate.ColumnSketch, len(sketches))}
-		for col, cs := range sketches {
-			out.Sketches[col] = cs.Sketch()
-		}
-		return out, nil
-	}
-	columns, sketches, err := stitchShards(outs)
+	columns, sketches, err := stitchShards(outs, ev.opts.SketchOnly)
 	msp.End()
 	if err != nil {
 		return nil, err

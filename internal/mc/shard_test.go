@@ -230,7 +230,7 @@ func TestEvaluateShardStitch(t *testing.T) {
 				}
 				outs = append(outs, out)
 			}
-			columns, _, err := stitchShards(outs)
+			columns, _, err := stitchShards(outs, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,5 +327,53 @@ GRAPH OVER @t EXPECT demand;
 	assertSameColumns(t, 4, want, got)
 	if _, ok := got.Columns["tag"]; ok {
 		t.Error("sharded render should skip the categorical column too")
+	}
+}
+
+// TestGroupedPlanEvaluatesOneRange: a grouped plan is not row-wise over the
+// worlds, so it evaluates as one range whatever Shards, SketchOnly and
+// Runner say — full columns bit-identical to Shards 1, no sketches, and no
+// runner call.
+func TestGroupedPlanEvaluatesOneRange(t *testing.T) {
+	ctx := context.Background()
+	reg, err := benchfix.Registry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := `
+DECLARE PARAMETER @t AS SET (5);
+SELECT DemandModel(@t, @t) AS demand GROUP BY DemandModel(@t, @t);
+GRAPH OVER @t EXPECT demand;
+`
+	scn, err := scenario.Compile(src, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scn.Plan().Shardable() {
+		t.Fatal("grouped plan reports Shardable")
+	}
+	pt := scn.DefaultPoint()
+	want, err := NewEvaluator(scn, Options{Worlds: 200, Shards: 1}).EvaluatePoint(ctx, pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(want.Columns["demand"]); n == 0 {
+		t.Fatal("grouped render has no demand rows")
+	}
+	var calls atomic.Int32
+	counting := func(ctx context.Context, task ShardTask) (*ShardOutput, error) {
+		calls.Add(1)
+		return nil, fmt.Errorf("runner must not be called for a grouped plan")
+	}
+	got, err := NewEvaluator(scn, Options{Worlds: 200, Shards: 4, SketchOnly: true, Runner: counting}).EvaluatePoint(ctx, pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameColumns(t, 4, want, got)
+	if got.Sketches != nil {
+		t.Errorf("grouped one-range result carries %d sketches, want none", len(got.Sketches))
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("runner called %d times, want 0", n)
 	}
 }

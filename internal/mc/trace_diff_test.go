@@ -2,20 +2,23 @@ package mc
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"fuzzyprophet/internal/benchfix"
+	"fuzzyprophet/internal/core"
 	"fuzzyprophet/internal/obs"
 	"fuzzyprophet/internal/scenario"
 	"fuzzyprophet/internal/sqlparser"
+	"fuzzyprophet/internal/storage"
 )
 
 // Differential tests: tracing must observe a render, never change it. The
 // five bundled example scenarios are evaluated twice — once with no span
 // on the context (the disabled path) and once under a live trace — and the
-// outputs must be bit-identical, on both the single-range and the sharded
-// path.
+// outputs must be bit-identical for one range and for a split, with and
+// without reuse.
 
 // compileExamples compiles the bundled example scenarios against the bench
 // fixture registry (real VG models with deterministic seeds).
@@ -73,31 +76,57 @@ func sameResult(t *testing.T, name string, plain, traced *PointResult) {
 func TestTracedEvaluationBitIdentical(t *testing.T) {
 	for name, scn := range compileExamples(t) {
 		for _, shards := range []int{1, 4} {
-			opts := Options{Worlds: 120, Shards: shards}
-			pt := scn.DefaultPoint()
+			for _, reuse := range []bool{false, true} {
+				label := fmt.Sprintf("%s (shards=%d, reuse=%v)", name, shards, reuse)
+				opts := Options{Worlds: 120, Shards: shards}
+				newEvaluator := func() *Evaluator {
+					o := opts
+					if reuse {
+						r, err := NewReuse(core.DefaultConfig(), storage.Options{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						o.Reuse = r
+					}
+					return NewEvaluator(scn, o)
+				}
+				pt := scn.DefaultPoint()
 
-			plain, err := NewEvaluator(scn, opts).EvaluatePoint(context.Background(), pt)
-			if err != nil {
-				t.Fatalf("%s (shards=%d, untraced): %v", name, shards, err)
-			}
+				plain, err := newEvaluator().EvaluatePoint(context.Background(), pt)
+				if err != nil {
+					t.Fatalf("%s untraced: %v", label, err)
+				}
 
-			tr := obs.New("render", obs.NewID())
-			ctx := obs.With(context.Background(), tr.Root())
-			traced, err := NewEvaluator(scn, opts).EvaluatePoint(ctx, pt)
-			if err != nil {
-				t.Fatalf("%s (shards=%d, traced): %v", name, shards, err)
-			}
-			tr.End()
+				tr := obs.New("render", obs.NewID())
+				ctx := obs.With(context.Background(), tr.Root())
+				traced, err := newEvaluator().EvaluatePoint(ctx, pt)
+				if err != nil {
+					t.Fatalf("%s traced: %v", label, err)
+				}
+				tr.End()
 
-			sameResult(t, name, plain, traced)
+				sameResult(t, name, plain, traced)
 
-			// The trace must actually have recorded the render: a point span
-			// with at least simulate and plan-execute stages under it.
-			seen := map[string]bool{}
-			tr.Tree().Visit(func(_ int, n *obs.Node) { seen[n.Name] = true })
-			for _, want := range []string{"point", "simulate", "plan-execute"} {
-				if !seen[want] {
-					t.Errorf("%s (shards=%d): trace has no %q span; got %v", name, shards, want, seen)
+				// The trace must actually have recorded the render: a point
+				// span with at least simulate and plan-execute stages under it.
+				seen := map[string]int{}
+				tr.Tree().Visit(func(_ int, n *obs.Node) { seen[n.Name]++ })
+				for _, want := range []string{"point", "simulate", "plan-execute"} {
+					if seen[want] == 0 {
+						t.Errorf("%s: trace has no %q span; got %v", label, want, seen)
+					}
+				}
+				// One range is evaluated inline: a single simulate stage per
+				// point and no fan-out, shard or merge stages.
+				if shards == 1 {
+					if seen["simulate"] != seen["point"] {
+						t.Errorf("%s: %d simulate spans for %d points, want one each", label, seen["simulate"], seen["point"])
+					}
+					for _, unwanted := range []string{"shard-fanout", "shard", "sketch-merge"} {
+						if seen[unwanted] > 0 {
+							t.Errorf("%s: one-range trace has %d %q spans", label, seen[unwanted], unwanted)
+						}
+					}
 				}
 			}
 		}

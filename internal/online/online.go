@@ -299,12 +299,9 @@ func (s *Session) renderWith(ctx context.Context, opts mc.Options) (*Graph, erro
 		}
 		g.X = append(g.X, x)
 		classify(res, &g.Stats)
-		lookup, err := columnStats(res)
-		if err != nil {
-			return nil, err
-		}
+		stats := columnStats(res)
 		for i := range g.Series {
-			col, ok := lookup(g.Series[i].Column)
+			col, ok := stats[g.Series[i].Column]
 			if !ok {
 				return nil, fmt.Errorf("online: missing column %q", g.Series[i].Column)
 			}
@@ -445,35 +442,23 @@ func classify(res *mc.PointResult, stats *RenderStats) {
 	}
 }
 
-// numericColumns lists the point result's aggregatable columns (categorical
-// string columns are excluded by the executor).
-func numericColumns(res *mc.PointResult) []string {
-	out := make([]string, 0, len(res.Columns))
-	for col := range res.Columns {
-		out = append(out, col)
-	}
-	return out
-}
-
-// columnStats returns a per-column aggregate lookup for one point result:
-// sample vectors are folded into fresh stats when present; on sketch-only
-// renders (mc.Options.SketchOnly — wire protocol v2's compressed response
-// mode) the merged sketches are read directly, so the graph's moments are
-// exact and its quantile series carry the t-digest error bound.
-func columnStats(res *mc.PointResult) (func(string) (*aggregate.ColumnStats, bool), error) {
+// columnStats returns one point result's per-column aggregates: sample
+// vectors are folded into fresh stats when present; on sketch-only or
+// degraded renders (mc.Options.SketchOnly — wire protocol v2's compressed
+// response mode — or AllowDegraded) the merged sketches are read directly,
+// so moments are exact and quantiles carry the t-digest error bound.
+// Categorical string columns are already excluded by the executor.
+func columnStats(res *mc.PointResult) map[string]*aggregate.ColumnStats {
 	if len(res.Columns) == 0 && len(res.Sketches) > 0 {
-		return func(col string) (*aggregate.ColumnStats, bool) {
-			cs, ok := res.Sketches[col]
-			return cs, ok
-		}, nil
+		return res.Sketches
 	}
-	stats := aggregate.NewPointStats(numericColumns(res))
+	stats := make(map[string]*aggregate.ColumnStats, len(res.Columns))
 	for col, samples := range res.Columns {
-		if err := stats.AddSamples(col, samples); err != nil {
-			return nil, err
-		}
+		cs := aggregate.NewColumnStats()
+		cs.AddAll(samples)
+		stats[col] = cs
 	}
-	return stats.Column, nil
+	return stats
 }
 
 func clonePoint(p guide.Point) guide.Point {
@@ -567,14 +552,13 @@ func (s *Session) TimeToFirstAccurateGuess(ctx context.Context, eps float64, min
 			if err != nil {
 				return 0, 0, err
 			}
-			stats := aggregate.NewPointStats(numericColumns(res))
-			for col, samples := range res.Columns {
-				if err := stats.AddSamples(col, samples); err != nil {
-					return 0, 0, err
+			for _, cs := range columnStats(res) {
+				if !cs.Converged(eps, int64(worlds/2)) {
+					allConverged = false
+					break
 				}
 			}
-			if !stats.Converged(eps, int64(worlds/2)) {
-				allConverged = false
+			if !allConverged {
 				break
 			}
 		}

@@ -32,6 +32,13 @@ FOR MAX @purchase1, MAX @purchase2;
 
 func newSession(t *testing.T, worlds int) *Session {
 	t.Helper()
+	return newSessionOpts(t, mc.Options{Worlds: worlds})
+}
+
+// newSessionOpts opens a figure-2 session with opts plus a fresh reuse
+// engine.
+func newSessionOpts(t *testing.T, opts mc.Options) *Session {
+	t.Helper()
 	reg := vg.NewRegistry()
 	if err := vg.RegisterBuiltins(reg); err != nil {
 		t.Fatal(err)
@@ -47,7 +54,8 @@ func newSession(t *testing.T, worlds int) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(scn, mc.Options{Worlds: worlds, Reuse: reuse})
+	opts.Reuse = reuse
+	s, err := NewSession(scn, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,6 +285,23 @@ func TestTimeToFirstAccurateGuess(t *testing.T) {
 	}
 	if worlds < 50 || worlds > 400 {
 		t.Errorf("worlds = %d", worlds)
+	}
+}
+
+// TestTimeToFirstAccurateGuessSketchOnly: a sketch-only session has no
+// sample vectors, so convergence is judged from its sketches — an
+// unreachable eps must run to the full world budget, as it does with full
+// vectors.
+func TestTimeToFirstAccurateGuessSketchOnly(t *testing.T) {
+	for _, sketchOnly := range []bool{false, true} {
+		s := newSessionOpts(t, mc.Options{Worlds: 400, SketchOnly: sketchOnly})
+		_, worlds, err := s.TimeToFirstAccurateGuess(context.Background(), 1e-9, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if worlds != 400 {
+			t.Errorf("sketchOnly=%v: worlds = %d, want the full 400", sketchOnly, worlds)
+		}
 	}
 }
 

@@ -69,6 +69,8 @@ func (w *ShardWorker) EvaluateShard(ctx context.Context, point map[string]any, w
 		break
 	}
 	if res.Rows == 0 && len(out.Columns) == 0 {
+		// Sketch-only shard: the row count survives in the sketches'
+		// observation counts.
 		for _, sk := range out.Sketches {
 			res.Rows = int(sk.Count)
 			break
