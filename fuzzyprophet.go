@@ -386,30 +386,12 @@ func (sc *Scenario) EvaluateBatch(ctx context.Context, points []map[string]any, 
 }
 
 func summarize(res *mc.PointResult) map[string]ColumnSummary {
-	if len(res.Columns) == 0 && len(res.Sketches) > 0 {
-		// Sketch-only evaluation (WithSketchOnly): no sample vectors came
-		// back, so the summary reads straight off the merged sketches —
-		// moments are exact, Median/P95 carry the t-digest tolerance.
-		out := make(map[string]ColumnSummary, len(res.Sketches))
-		for col, cs := range res.Sketches {
-			out[col] = ColumnSummary{
-				N:      cs.Count(),
-				Mean:   cs.Expect(),
-				StdDev: cs.StdDev(),
-				Min:    cs.Moments.Min(),
-				Max:    cs.Moments.Max(),
-				Median: cs.Median(),
-				P95:    cs.P95(),
-				CI95:   cs.CI95(),
-				Note:   degradedNote(res),
-			}
-		}
-		return out
-	}
-	out := make(map[string]ColumnSummary, len(res.Columns))
-	for col, samples := range res.Columns {
-		cs := aggregate.NewColumnStats()
-		cs.AddAll(samples)
+	// A sketch-only or degraded evaluation (WithSketchOnly,
+	// WithAllowDegraded) summarizes its merged sketches: moments are exact,
+	// Median/P95 carry the t-digest tolerance.
+	stats := res.ColumnStats()
+	out := make(map[string]ColumnSummary, len(stats))
+	for col, cs := range stats {
 		out[col] = ColumnSummary{
 			N:      cs.Count(),
 			Mean:   cs.Expect(),
@@ -419,6 +401,7 @@ func summarize(res *mc.PointResult) map[string]ColumnSummary {
 			Median: cs.Median(),
 			P95:    cs.P95(),
 			CI95:   cs.CI95(),
+			Note:   degradedNote(res),
 		}
 	}
 	return out
@@ -446,15 +429,15 @@ type WorldShard struct {
 
 // ColumnSketch is the serializable mergeable aggregate of one output
 // column over one world range: raw Welford moments plus a t-digest
-// centroid list. Shard workers return sketches alongside partial sample
-// vectors; merging sketches in shard order reproduces the whole range's
-// moments exactly (up to float rounding) and its quantiles within the
-// sketch tolerance.
+// centroid list. Sketch-only shard requests return sketches instead of
+// partial sample vectors; merging sketches in shard order reproduces the
+// whole range's moments exactly (up to float rounding) and its quantiles
+// within the sketch tolerance.
 type ColumnSketch = aggregate.ColumnSketch
 
 // ShardResult is a partial render over one world shard: per-column sample
-// vectors for the rows the shard's worlds produced, in world order, plus a
-// mergeable sketch per column.
+// vectors for the rows the shard's worlds produced, in world order — or,
+// for a sketch-only request, a mergeable sketch per column instead.
 type ShardResult struct {
 	// Rows is the number of output rows the shard produced (equals the
 	// shard's world count for plain scenarios; joins can yield more, WHERE
@@ -462,7 +445,8 @@ type ShardResult struct {
 	Rows int `json:"rows"`
 	// Columns maps each numeric output column to its partial sample vector.
 	Columns map[string][]float64 `json:"columns"`
-	// Sketches maps each column to its mergeable aggregate.
+	// Sketches maps each column to its mergeable aggregate; set only on
+	// sketch-only results.
 	Sketches map[string]ColumnSketch `json:"sketches,omitempty"`
 }
 

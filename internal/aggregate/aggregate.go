@@ -21,20 +21,51 @@ import (
 // the earlier P² estimator precisely because P² markers cannot merge).
 // World sharding leans on this: each shard folds its own range, the
 // coordinator merges.
+//
+// The moments are always current; the t-digest is built only when a
+// quantile, a sketch or a merge first needs it, so aggregating for EXPECT,
+// EXPECT_STDDEV or PROB never pays for it. Like the digest's own buffered
+// inserts, that first read mutates the ColumnStats: it is not safe for
+// concurrent use.
 type ColumnStats struct {
 	Moments stats.Moments
 	digest  *stats.TDigest
+	// pending holds the FromSamples vector not yet folded into digest.
+	pending []float64
 }
 
 // NewColumnStats returns an empty aggregator.
-func NewColumnStats() *ColumnStats {
-	return &ColumnStats{digest: stats.NewTDigest(stats.DefaultCompression)}
+func NewColumnStats() *ColumnStats { return &ColumnStats{} }
+
+// FromSamples returns an aggregator over a whole sample vector. It folds
+// the moments in one pass and keeps xs, folding it into the t-digest — in
+// order, so the result is bit-identical to NewColumnStats followed by
+// AddAll(xs) — only when Quantile, Median, P95, Sketch, Merge or Add first
+// needs the digest. xs is aliased, not copied: the caller must not mutate
+// it while the aggregator is in use.
+func FromSamples(xs []float64) *ColumnStats {
+	c := &ColumnStats{pending: xs}
+	for _, x := range xs {
+		c.Moments.Add(x)
+	}
+	return c
+}
+
+// sketch returns the t-digest, building it from the pending samples on
+// first use.
+func (c *ColumnStats) sketch() *stats.TDigest {
+	if c.digest == nil {
+		c.digest = stats.NewTDigest(stats.DefaultCompression)
+		c.digest.AddAll(c.pending)
+		c.pending = nil
+	}
+	return c.digest
 }
 
 // Add folds in one world's value.
 func (c *ColumnStats) Add(x float64) {
 	c.Moments.Add(x)
-	c.digest.Add(x)
+	c.sketch().Add(x)
 }
 
 // AddAll folds in a whole sample vector.
@@ -48,7 +79,7 @@ func (c *ColumnStats) AddAll(xs []float64) {
 // to float rounding); quantile estimates merge within the sketch tolerance.
 func (c *ColumnStats) Merge(o *ColumnStats) {
 	c.Moments.Merge(&o.Moments)
-	c.digest.Merge(o.digest)
+	c.sketch().Merge(o.sketch())
 }
 
 // Expect returns the estimated expectation (EXPECT in scenario SQL).
@@ -69,11 +100,11 @@ func (c *ColumnStats) P95() float64 { return c.quantile(0.95) }
 
 // Quantile returns the sketch's q-quantile estimate.
 func (c *ColumnStats) Quantile(q float64) (float64, error) {
-	return c.digest.Quantile(q)
+	return c.sketch().Quantile(q)
 }
 
 func (c *ColumnStats) quantile(q float64) float64 {
-	v, err := c.digest.Quantile(q)
+	v, err := c.sketch().Quantile(q)
 	if err != nil {
 		return 0
 	}
@@ -129,14 +160,15 @@ type ColumnSketch struct {
 // Sketch serializes the aggregator's state.
 func (c *ColumnStats) Sketch() ColumnSketch {
 	n, mean, m2, min, max := c.Moments.State()
+	digest := c.sketch()
 	return ColumnSketch{
 		Count:       n,
 		Mean:        mean,
 		M2:          m2,
 		Min:         min,
 		Max:         max,
-		Compression: c.digest.Compression(),
-		Centroids:   c.digest.Centroids(),
+		Compression: digest.Compression(),
+		Centroids:   digest.Centroids(),
 	}
 }
 

@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -226,5 +227,75 @@ func TestColumnSketchRoundTrip(t *testing.T) {
 	}
 	if MergeSketches(nil) != nil {
 		t.Error("MergeSketches(nil) should be nil")
+	}
+}
+
+var sinkFloat float64
+
+// TestFromSamplesLazyDigest: FromSamples answers the moment metrics without
+// building a t-digest, and once one is needed its quantiles, sketch and
+// merges are bit-identical to folding the same vector with AddAll.
+func TestFromSamplesLazyDigest(t *testing.T) {
+	s := rng.New(41)
+	xs := make([]float64, 5000)
+	for i := range xs {
+		xs[i] = s.Normal(10, 3)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		cs := FromSamples(xs)
+		sinkFloat = cs.Expect() + cs.StdDev() + cs.CI95() + cs.Prob()
+	})
+	if allocs > 1 { // the ColumnStats itself; a digest costs several more
+		t.Errorf("FromSamples + moment reads: %.0f allocs, want <= 1", allocs)
+	}
+	lazy := FromSamples(xs)
+	if _, err := lazy.Metric("EXPECT_STDDEV"); err != nil || lazy.digest != nil {
+		t.Fatalf("moment metric built a digest (err %v)", err)
+	}
+
+	eager := NewColumnStats()
+	eager.AddAll(xs)
+	if lazy.Moments != eager.Moments {
+		t.Fatalf("moments %+v, want %+v", lazy.Moments, eager.Moments)
+	}
+	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.95, 0.999, 1} {
+		got, err1 := FromSamples(xs).Quantile(q)
+		want, err2 := eager.Quantile(q)
+		if err1 != nil || err2 != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("q=%g: lazy %v (%v), eager %v (%v)", q, got, err1, want, err2)
+		}
+	}
+	if got, want := FromSamples(xs).Median(), eager.Median(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("median %v, want %v", got, want)
+	}
+	if got, want := FromSamples(xs).P95(), eager.P95(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("p95 %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(FromSamples(xs).Sketch(), eager.Sketch()) {
+		t.Error("Sketch differs from the eager fold")
+	}
+
+	// Merges, in both directions, and Add after FromSamples.
+	k := len(xs) / 3
+	lazyMerged := FromSamples(xs[:k])
+	lazyMerged.Merge(FromSamples(xs[k:]))
+	eagerA, eagerB := NewColumnStats(), NewColumnStats()
+	eagerA.AddAll(xs[:k])
+	eagerB.AddAll(xs[k:])
+	eagerA.Merge(eagerB)
+	if !reflect.DeepEqual(lazyMerged.Sketch(), eagerA.Sketch()) {
+		t.Error("merged FromSamples sketch differs from the eager merge")
+	}
+	intoEager := NewColumnStats()
+	intoEager.Merge(FromSamples(xs))
+	intoEagerWant := NewColumnStats()
+	intoEagerWant.Merge(eager)
+	if !reflect.DeepEqual(intoEager.Sketch(), intoEagerWant.Sketch()) {
+		t.Error("merging a FromSamples aggregator differs from merging the eager one")
+	}
+	grown := FromSamples(xs[:k])
+	grown.AddAll(xs[k:])
+	if !reflect.DeepEqual(grown.Sketch(), eager.Sketch()) {
+		t.Error("FromSamples + AddAll differs from one eager fold")
 	}
 }

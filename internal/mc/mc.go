@@ -63,6 +63,8 @@ type Options struct {
 	// SketchOnly makes evaluations return ONLY merged per-column sketches
 	// (Welford moments + t-digest) — PointResult.Columns stays nil — so
 	// remote shard responses are O(compression) instead of O(worlds).
+	// Without it no range builds a sketch: full evaluations return sample
+	// vectors alone, and a worker's full response carries no sketches.
 	// Consumers read Expect/StdDev/quantiles/CI95 from the sketches within
 	// the t-digest error bound. A plan that is not Shardable evaluates as
 	// one range with full columns and no sketches.
@@ -342,12 +344,9 @@ type PointResult struct {
 	Worlds int
 	// SiteOutcome records, per site ID, how its samples were obtained.
 	SiteOutcome map[string]ReuseKind
-	// SQL is the pure TSQL the Query Generator emitted for this point.
-	SQL string
 	// Sketches holds the merged per-column mergeable aggregates (moments +
-	// t-digest) when the point was split into several ranges, evaluated
-	// sketch-only or harvested degraded; nil when a single range returned
-	// full columns, which aggregation folds directly.
+	// t-digest) of a sketch-only or degraded evaluation; nil whenever
+	// Columns is set. ColumnStats reads whichever of the two is present.
 	Sketches map[string]*aggregate.ColumnStats
 	// Degraded marks a partial result: the context deadline expired before
 	// the full world budget and Options.AllowDegraded harvested the shards
@@ -357,6 +356,22 @@ type PointResult struct {
 	// WorldsCompleted is the number of worlds whose samples contributed to
 	// a degraded result's sketches; zero when Degraded is false.
 	WorldsCompleted int
+}
+
+// ColumnStats returns the point's per-column aggregates: the merged
+// Sketches of a sketch-only or degraded result — moments exact, quantiles
+// within the t-digest error bound — or otherwise each sample vector folded
+// with aggregate.FromSamples, so a caller that reads only moments never
+// builds a t-digest. Categorical string columns are already excluded.
+func (p *PointResult) ColumnStats() map[string]*aggregate.ColumnStats {
+	if p.Sketches != nil {
+		return p.Sketches
+	}
+	stats := make(map[string]*aggregate.ColumnStats, len(p.Columns))
+	for col, samples := range p.Columns {
+		stats[col] = aggregate.FromSamples(samples)
+	}
+	return stats
 }
 
 // FreshSites returns how many sites required fresh VG simulation.
@@ -411,8 +426,8 @@ func recoverToError(dst *error, stage string) {
 // compiled plan, and the ranges' output columns are stitched back in world
 // order. Because world seeds derive per (site, world), the result is
 // bit-identical for every split. A plan that is not Shardable, a one-world
-// render and Shards <= 1 evaluate a single range inline, with no fan-out
-// and no sketches unless SketchOnly asks for them.
+// render and Shards <= 1 evaluate a single range inline, with no fan-out.
+// Only a SketchOnly evaluation builds sketches.
 //
 // The context is checked between sites and once per world-batch during
 // simulation, so cancellation aborts a long evaluation promptly; the first
@@ -436,14 +451,6 @@ func (ev *Evaluator) EvaluatePoint(ctx context.Context, pt guide.Point) (*PointR
 		Worlds:      n,
 		SiteOutcome: make(map[string]ReuseKind, len(ev.scn.Sites)),
 	}
-	// The Query Generator's pure TSQL is kept for diagnostics (the paper's
-	// GUI displays it); execution runs the scenario's compiled plan.
-	sql, err := ev.scn.GenerateSQL(pt)
-	if err != nil {
-		return nil, err
-	}
-	res.SQL = sql
-
 	// Only a row-wise plan over more than one world splits its range, goes
 	// to a remote runner or answers with sketches alone.
 	split := ev.scn.Plan().Shardable() && n > 1
@@ -468,6 +475,7 @@ func (ev *Evaluator) EvaluatePoint(ctx context.Context, pt guide.Point) (*PointR
 	// from seeds, so a runner bypasses reuse.
 	var siteSamples [][]float64
 	if ev.opts.Reuse != nil && !remote {
+		var err error
 		if siteSamples, err = ev.reuseSamples(ctx, psp, pt, res.SiteOutcome); err != nil {
 			return nil, err
 		}
@@ -479,7 +487,7 @@ func (ev *Evaluator) EvaluatePoint(ctx context.Context, pt guide.Point) (*PointR
 
 	var outs []*ShardOutput
 	if len(tasks) == 1 && !remote {
-		out, err := ev.runShardLocal(obs.With(ctx, psp), tasks[0], siteSamples, ev.ordRange(0, n), ev.opts.Workers, sketchOnly)
+		out, err := ev.runShardLocal(obs.With(ctx, psp), tasks[0], siteSamples, ev.ordRange(0, n), ev.opts.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -516,9 +524,7 @@ func (ev *Evaluator) EvaluatePoint(ctx context.Context, pt guide.Point) (*PointR
 		return nil, err
 	}
 	res.Columns = columns
-	if len(sketches) > 0 {
-		res.Sketches = sketches
-	}
+	res.Sketches = sketches
 	return res, nil
 }
 

@@ -10,9 +10,9 @@ package mc
 // a range-local worlds table, and returns output columns in world order.
 // Several ranges are stitched back in range order — bit-identical to one
 // range, because the compiled plan is row-wise over the worlds-major
-// relation (sqlengine.Plan.Shardable) — and their mergeable per-column
-// sketches (Welford moments + t-digest) are merged for consumers that want
-// aggregates without a second pass.
+// relation (sqlengine.Plan.Shardable). A sketch-only evaluation returns no
+// sample vectors: each range folds its columns into mergeable per-column
+// sketches (Welford moments + t-digest), which are merged in range order.
 
 import (
 	"context"
@@ -131,7 +131,8 @@ type ShardTask struct {
 
 // ShardOutput is one shard's partial render: per-column sample vectors for
 // the rows its world range produced (in world order; joins may yield more
-// rows than worlds, WHERE fewer), plus a mergeable sketch per column.
+// rows than worlds, WHERE fewer) or, for a sketch-only task, a mergeable
+// sketch per column instead.
 type ShardOutput struct {
 	Columns  map[string][]float64
 	Sketches map[string]aggregate.ColumnSketch
@@ -212,9 +213,10 @@ func shardInputKey(argKey string, seedBase uint64, lo, hi int) string {
 // siteSamples is non-nil it holds full [0, Worlds) per-site vectors
 // (computed by the coordinator, reuse-aware) and the range just slices
 // them; otherwise the range simulates its own worlds from the task's seeds
-// on up to workers goroutines. With sketch set (required on sketch-only
-// tasks) every output column also gets a mergeable sketch.
-func (ev *Evaluator) runShardLocal(ctx context.Context, task ShardTask, siteSamples [][]float64, ord []int64, workers int, sketch bool) (_ *ShardOutput, err error) {
+// on up to workers goroutines. A sketch-only task folds every output column
+// into a mergeable sketch and returns no sample vectors; any other task
+// returns the sample vectors alone.
+func (ev *Evaluator) runShardLocal(ctx context.Context, task ShardTask, siteSamples [][]float64, ord []int64, workers int) (_ *ShardOutput, err error) {
 	// A panic in a plan kernel fails this range's evaluation, not the
 	// process, whether the range runs inline or on a fan-out goroutine.
 	defer recoverToError(&err, "shard")
@@ -260,10 +262,9 @@ func (ev *Evaluator) runShardLocal(ctx context.Context, task ShardTask, siteSamp
 	// no distribution to aggregate, so they are skipped; NULLs or mixed
 	// types in a numeric column are errors.
 	result := &ShardOutput{}
-	if sketch {
+	if task.SketchOnly {
 		result.Sketches = make(map[string]aggregate.ColumnSketch, len(ev.scn.OutputCols))
-	}
-	if !task.SketchOnly {
+	} else {
 		result.Columns = make(map[string][]float64, len(ev.scn.OutputCols))
 	}
 	for _, colName := range ev.scn.OutputCols {
@@ -278,13 +279,10 @@ func (ev *Evaluator) runShardLocal(ctx context.Context, task ShardTask, siteSamp
 		if err != nil {
 			return nil, fmt.Errorf("mc: output column %q: %w", colName, err)
 		}
-		if !task.SketchOnly {
+		if task.SketchOnly {
+			result.Sketches[colName] = aggregate.FromSamples(fs).Sketch()
+		} else {
 			result.Columns[colName] = fs
-		}
-		if sketch {
-			cs := aggregate.NewColumnStats()
-			cs.AddAll(fs)
-			result.Sketches[colName] = cs.Sketch()
 		}
 	}
 	return result, nil
@@ -345,14 +343,14 @@ func (ev *Evaluator) simulateInto(ctx context.Context, sp *obs.Span, env *shardE
 }
 
 // stitchShards concatenates the ranges' partial columns in range (= world)
-// order and merges their sketches; with sketchOnly no sample vectors came
-// back, so it only merges sketches (a sketch's Count stands in for its
-// range's row count) and returns nil columns. A column that SOME ranges
-// skipped as categorical (all-string) while others carried it empty — an
-// empty range cannot see the column's type — is dropped, like every
-// categorical column; a range carrying numeric rows for a column another
-// range deemed categorical is a genuine type mix and errors (converting
-// the whole column would error on it too).
+// order and returns nil sketches; with sketchOnly no sample vectors came
+// back, so it merges the ranges' sketches in range order instead (a
+// sketch's Count stands in for its range's row count) and returns nil
+// columns. A column that SOME ranges skipped as categorical (all-string)
+// while others carried it empty — an empty range cannot see the column's
+// type — is dropped, like every categorical column; a range carrying
+// numeric rows for a column another range deemed categorical is a genuine
+// type mix and errors (converting the whole column would error on it too).
 func stitchShards(outs []*ShardOutput, sketchOnly bool) (map[string][]float64, map[string]*aggregate.ColumnStats, error) {
 	names := make(map[string]bool)
 	total := make(map[string]int64)
@@ -373,10 +371,12 @@ func stitchShards(outs []*ShardOutput, sketchOnly bool) (map[string][]float64, m
 		}
 	}
 	var columns map[string][]float64
-	if !sketchOnly {
+	var sketches map[string]*aggregate.ColumnStats
+	if sketchOnly {
+		sketches = make(map[string]*aggregate.ColumnStats, len(names))
+	} else {
 		columns = make(map[string][]float64, len(names))
 	}
-	sketches := make(map[string]*aggregate.ColumnStats, len(names))
 	for col := range names {
 		if inAll[col] < len(outs) {
 			if total[col] > 0 {
@@ -384,22 +384,19 @@ func stitchShards(outs []*ShardOutput, sketchOnly bool) (map[string][]float64, m
 			}
 			continue // categorical: every range with rows skipped it
 		}
-		parts := make([]aggregate.ColumnSketch, 0, len(outs))
-		for _, out := range outs {
-			if sk, ok := out.Sketches[col]; ok {
-				parts = append(parts, sk)
-			}
-		}
 		if !sketchOnly {
 			full := make([]float64, 0, total[col])
 			for _, out := range outs {
 				full = append(full, out.Columns[col]...)
 			}
 			columns[col] = full
+			continue
 		}
-		if merged := aggregate.MergeSketches(parts); merged != nil {
-			sketches[col] = merged
+		parts := make([]aggregate.ColumnSketch, 0, len(outs))
+		for _, out := range outs {
+			parts = append(parts, out.Sketches[col])
 		}
+		sketches[col] = aggregate.MergeSketches(parts)
 	}
 	return columns, sketches, nil
 }
@@ -425,8 +422,7 @@ func (ev *Evaluator) shardTasks(pt guide.Point, ranges []WorldRange, sketchOnly 
 // With a runner each task is sent to it first; a task whose runner call
 // fails before ctx is done is re-evaluated locally, so a failed worker
 // costs latency, not the render. Local ranges self-simulate with the
-// evaluator's Workers budget shared between them, and always build
-// sketches for the stitch.
+// evaluator's Workers budget shared between them.
 func (ev *Evaluator) fanOut(ctx context.Context, sp *obs.Span, tasks []ShardTask, siteSamples [][]float64, runner ShardRunner) ([]*ShardOutput, []error) {
 	workers := max(1, ev.opts.Workers/len(tasks))
 	ev.ordRange(0, tasks[len(tasks)-1].Range.Hi) // grow once, before any goroutine reads
@@ -462,7 +458,7 @@ func (ev *Evaluator) fanOut(ctx context.Context, sp *obs.Span, tasks []ShardTask
 				}
 				ssp.SetStr("exec", "local-fallback")
 			}
-			outs[i], errs[i] = ev.runShardLocal(sctx, task, siteSamples, ord, workers, true)
+			outs[i], errs[i] = ev.runShardLocal(sctx, task, siteSamples, ord, workers)
 		}(i)
 	}
 	wg.Wait()
@@ -480,12 +476,14 @@ func firstError(errs []error) error {
 }
 
 // harvestDegraded turns a deadline-cut fan-out into a partial result: the
-// sketches of every completed shard are merged and res is flagged
-// Degraded with the completed world count. Returns false — leaving res
-// untouched — when nothing completed, when any shard failed with a panic
-// (deterministic bugs must surface, not degrade), or when the completed
-// sketches cannot be merged. Errors racing the deadline (cancelled
-// transports, cut simulations) are subsumed by the degraded result.
+// sketches of every completed shard are merged in range order — a full
+// range, which carries sample vectors instead, is folded into sketches
+// first — and res is flagged Degraded with the completed world count.
+// Returns false — leaving res untouched — when nothing completed, when any
+// shard failed with a panic (deterministic bugs must surface, not
+// degrade), or when the completed sketches cannot be merged. Errors racing
+// the deadline (cancelled transports, cut simulations) are subsumed by the
+// degraded result.
 func (ev *Evaluator) harvestDegraded(res *PointResult, tasks []ShardTask, outs []*ShardOutput, errs []error, psp *obs.Span) bool {
 	var done []*ShardOutput
 	completed := 0
@@ -496,6 +494,13 @@ func (ev *Evaluator) harvestDegraded(res *PointResult, tasks []ShardTask, outs [
 		}
 		if out == nil || errs[i] != nil {
 			continue
+		}
+		if len(out.Sketches) == 0 {
+			sk := make(map[string]aggregate.ColumnSketch, len(out.Columns))
+			for col, fs := range out.Columns {
+				sk[col] = aggregate.FromSamples(fs).Sketch()
+			}
+			out = &ShardOutput{Sketches: sk}
 		}
 		done = append(done, out)
 		completed += tasks[i].Range.Len()
@@ -521,7 +526,8 @@ func (ev *Evaluator) harvestDegraded(res *PointResult, tasks []ShardTask, outs [
 // Options.Worlds)) at one parameter point — the worker half of distributed
 // rendering: an HTTP worker receives (scenario, point, seed base, range),
 // self-simulates the range from per-(site, world) seeds and returns the
-// partial columns and sketches for the coordinator to stitch. The shard is
+// partial columns for the coordinator to stitch — or, with
+// Options.SketchOnly, only the merged per-column sketches. The shard is
 // itself split across Options.Shards in-process ranges and fanned out like
 // EvaluatePoint's, so a worker saturates its own cores. Fingerprint reuse
 // is not consulted (partial vectors are not valid bases). Requires a
@@ -555,9 +561,12 @@ func (ev *Evaluator) EvaluateShard(ctx context.Context, pt guide.Point, shard Wo
 	if err != nil {
 		return nil, err
 	}
-	out := &ShardOutput{Columns: columns, Sketches: make(map[string]aggregate.ColumnSketch, len(sketches))}
-	for col, cs := range sketches {
-		out.Sketches[col] = cs.Sketch()
+	out := &ShardOutput{Columns: columns}
+	if sketches != nil {
+		out.Sketches = make(map[string]aggregate.ColumnSketch, len(sketches))
+		for col, cs := range sketches {
+			out.Sketches[col] = cs.Sketch()
+		}
 	}
 	return out, nil
 }

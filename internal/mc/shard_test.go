@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fuzzyprophet/internal/aggregate"
 	"fuzzyprophet/internal/benchfix"
@@ -83,8 +84,9 @@ func compileExample(t *testing.T, name string) *scenario.Scenario {
 // TestShardedEvaluationBitIdentical: for every bundled example scenario,
 // sharded evaluation at 2, 7 and 16 shards produces byte-for-byte the same
 // per-world output vectors — and therefore bit-identical EXPECT /
-// EXPECT_STDDEV / PROB — as the single-range evaluation, and the merged
-// sketches agree with exact quantiles within the sketch tolerance.
+// EXPECT_STDDEV / PROB — as the single-range evaluation, with no sketches;
+// and the merged sketches of a sketch-only evaluation at the same shard
+// count agree with exact quantiles within the sketch tolerance.
 func TestShardedEvaluationBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	const worlds = 500
@@ -107,25 +109,30 @@ func TestShardedEvaluationBitIdentical(t *testing.T) {
 					t.Fatalf("%d shards: %v", shards, err)
 				}
 				assertSameColumns(t, shards, want, got)
-				if shards > 1 {
-					if got.Sketches == nil {
-						t.Fatalf("%d shards: no merged sketches", shards)
+				if got.Sketches != nil {
+					t.Fatalf("%d shards: full evaluation carries sketches", shards)
+				}
+				sk, err := NewEvaluator(scn, Options{Worlds: worlds, Shards: shards, SketchOnly: true}).EvaluatePoint(ctx, pt)
+				if err != nil {
+					t.Fatalf("%d shards sketch-only: %v", shards, err)
+				}
+				if len(sk.Sketches) != len(want.Columns) {
+					t.Fatalf("%d shards: %d merged sketches, want %d", shards, len(sk.Sketches), len(want.Columns))
+				}
+				for col, cs := range sk.Sketches {
+					exact, err := stats.Quantile(want.Columns[col], 0.95)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for col, cs := range got.Sketches {
-						exact, err := stats.Quantile(want.Columns[col], 0.95)
-						if err != nil {
-							t.Fatal(err)
-						}
-						lo, _ := stats.Quantile(want.Columns[col], 0.90)
-						hi, _ := stats.Quantile(want.Columns[col], 1)
-						if p95 := cs.P95(); p95 < lo || p95 > hi {
-							t.Errorf("%d shards: %s sketch p95 %g outside [%g,%g] (exact %g)",
-								shards, col, p95, lo, hi, exact)
-						}
-						if cs.Count() != int64(len(want.Columns[col])) {
-							t.Errorf("%d shards: %s sketch count %d, want %d",
-								shards, col, cs.Count(), len(want.Columns[col]))
-						}
+					lo, _ := stats.Quantile(want.Columns[col], 0.90)
+					hi, _ := stats.Quantile(want.Columns[col], 1)
+					if p95 := cs.P95(); p95 < lo || p95 > hi {
+						t.Errorf("%d shards: %s sketch p95 %g outside [%g,%g] (exact %g)",
+							shards, col, p95, lo, hi, exact)
+					}
+					if cs.Count() != int64(len(want.Columns[col])) {
+						t.Errorf("%d shards: %s sketch count %d, want %d",
+							shards, col, cs.Count(), len(want.Columns[col]))
 					}
 				}
 			}
@@ -228,6 +235,9 @@ func TestEvaluateShardStitch(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s shard %v: %v", name, r, err)
 				}
+				if out.Sketches != nil {
+					t.Fatalf("%s shard %v: full shard output carries sketches", name, r)
+				}
 				outs = append(outs, out)
 			}
 			columns, _, err := stitchShards(outs, false)
@@ -286,6 +296,61 @@ func TestShardedRunnerFallback(t *testing.T) {
 		t.Errorf("runner called %d times, want 3", calls.Load())
 	}
 	assertSameColumns(t, 3, want, got)
+}
+
+// TestDegradedHarvestFoldsCompletedRanges: when the deadline cuts a
+// fan-out, the degraded result's sketches cover exactly the completed
+// ranges — folded from their sample vectors on a full evaluation, merged
+// from their sketches on a sketch-only one — and their moments match a
+// direct fold of those worlds.
+func TestDegradedHarvestFoldsCompletedRanges(t *testing.T) {
+	const worlds, shards, hung = 240, 4, 2
+	scn := compileExample(t, "featurerelease")
+	pt := scn.DefaultPoint()
+	full, err := NewEvaluator(scn, Options{Worlds: worlds}).EvaluatePoint(context.Background(), pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := SplitWorlds(worlds, shards)
+	runner := func(ctx context.Context, task ShardTask) (*ShardOutput, error) {
+		if task.Index == hung {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		worker := NewEvaluator(scn, Options{Worlds: task.Worlds, SeedBase: task.SeedBase, SketchOnly: task.SketchOnly})
+		return worker.EvaluateShard(ctx, task.Point, task.Range)
+	}
+	for _, sketchOnly := range []bool{false, true} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		ev := NewEvaluator(scn, Options{Worlds: worlds, Shards: shards, Runner: runner, SketchOnly: sketchOnly, AllowDegraded: true})
+		res, err := ev.EvaluatePoint(ctx, pt)
+		cancel()
+		if err != nil {
+			t.Fatalf("sketchOnly=%v: %v", sketchOnly, err)
+		}
+		if !res.Degraded || res.Columns != nil || res.WorldsCompleted != worlds-ranges[hung].Len() {
+			t.Fatalf("sketchOnly=%v: degraded=%v columns=%v completed=%d, want degraded, no columns, %d worlds",
+				sketchOnly, res.Degraded, res.Columns != nil, res.WorldsCompleted, worlds-ranges[hung].Len())
+		}
+		for col, samples := range full.Columns {
+			var done []float64
+			for i, r := range ranges {
+				if i != hung {
+					done = append(done, samples[r.Lo:r.Hi]...)
+				}
+			}
+			want := aggregate.FromSamples(done)
+			got, ok := res.Sketches[col]
+			if !ok || got.Count() != want.Count() {
+				t.Fatalf("sketchOnly=%v %s: sketch %v, want count %d", sketchOnly, col, ok, want.Count())
+			}
+			for _, m := range [][2]float64{{got.Expect(), want.Expect()}, {got.StdDev(), want.StdDev()}} {
+				if math.Abs(m[0]-m[1]) > 1e-9*math.Max(1, math.Abs(m[1])) {
+					t.Errorf("sketchOnly=%v %s: moment %v, want %v", sketchOnly, col, m[0], m[1])
+				}
+			}
+		}
+	}
 }
 
 // TestShardedCategoricalColumnWithEmptyShards: a categorical (string)

@@ -31,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"fuzzyprophet/internal/aggregate"
 	"fuzzyprophet/internal/core"
 	"fuzzyprophet/internal/guide"
 	"fuzzyprophet/internal/mc"
@@ -299,7 +298,7 @@ func (s *Session) renderWith(ctx context.Context, opts mc.Options) (*Graph, erro
 		}
 		g.X = append(g.X, x)
 		classify(res, &g.Stats)
-		stats := columnStats(res)
+		stats := res.ColumnStats()
 		for i := range g.Series {
 			col, ok := stats[g.Series[i].Column]
 			if !ok {
@@ -442,25 +441,6 @@ func classify(res *mc.PointResult, stats *RenderStats) {
 	}
 }
 
-// columnStats returns one point result's per-column aggregates: sample
-// vectors are folded into fresh stats when present; on sketch-only or
-// degraded renders (mc.Options.SketchOnly — wire protocol v2's compressed
-// response mode — or AllowDegraded) the merged sketches are read directly,
-// so moments are exact and quantiles carry the t-digest error bound.
-// Categorical string columns are already excluded by the executor.
-func columnStats(res *mc.PointResult) map[string]*aggregate.ColumnStats {
-	if len(res.Columns) == 0 && len(res.Sketches) > 0 {
-		return res.Sketches
-	}
-	stats := make(map[string]*aggregate.ColumnStats, len(res.Columns))
-	for col, samples := range res.Columns {
-		cs := aggregate.NewColumnStats()
-		cs.AddAll(samples)
-		stats[col] = cs
-	}
-	return stats
-}
-
 func clonePoint(p guide.Point) guide.Point {
 	out := make(guide.Point, len(p))
 	for k, v := range p {
@@ -552,7 +532,7 @@ func (s *Session) TimeToFirstAccurateGuess(ctx context.Context, eps float64, min
 			if err != nil {
 				return 0, 0, err
 			}
-			for _, cs := range columnStats(res) {
+			for _, cs := range res.ColumnStats() {
 				if !cs.Converged(eps, int64(worlds/2)) {
 					allConverged = false
 					break

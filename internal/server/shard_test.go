@@ -36,7 +36,29 @@ func TestShardWorkerEndpoint(t *testing.T) {
 		if len(res.Columns[col]) != 50 {
 			t.Errorf("column %s has %d rows, want 50", col, len(res.Columns[col]))
 		}
-		sk, ok := res.Sketches[col]
+	}
+	if res.Sketches != nil {
+		t.Errorf("full response carries sketches: %v", res.Sketches)
+	}
+
+	// A sketch-only request answers with sketches and no sample vectors.
+	var skRes shardResponse
+	code = call(t, "POST", ts.URL+"/shard/render", shardRequest{
+		SQL:        testScenario,
+		Point:      map[string]any{"current": 3, "purchase1": 8, "feature": 4},
+		Worlds:     100,
+		Lo:         25,
+		Hi:         75,
+		SketchOnly: true,
+	}, &skRes)
+	if code != http.StatusOK {
+		t.Fatalf("sketch-only shard render = %d", code)
+	}
+	if skRes.Rows != 50 || skRes.Columns != nil {
+		t.Errorf("sketch-only response: rows %d, columns %v; want 50 rows, no columns", skRes.Rows, skRes.Columns)
+	}
+	for _, col := range []string{"demand", "capacity", "overload"} {
+		sk, ok := skRes.Sketches[col]
 		if !ok || sk.Count != 50 {
 			t.Errorf("column %s sketch count = %d, want 50", col, sk.Count)
 		}
